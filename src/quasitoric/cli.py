@@ -149,7 +149,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             doc = json.load(fh)
     patch = jsonio.parse_patch(doc)
     if args.paired:
-        _write(tilings.render_svg(tilings.pair_tiles(patch).tiles, digits), args.output)
+        _write(tilings.render_svg(tilings.pair_tiles(patch).tiles, digits, patch.depth),
+               args.output)
     else:
         _write(tilings.render_svg(patch, digits), args.output)
     return 0

@@ -1,9 +1,10 @@
 """Exact arithmetic in a real quadratic field and dense linear algebra over it.
 
-Every geometric coordinate in this package is a :class:`FieldElem`, a pair of
-rationals (a, b) standing for the real number a + b*sqrt(D).  D is a
+Every geometric coordinate in this package is a :class:`FieldElem`, the real
+number (p + q*sqrt(D)) / r stored as the integers (p, q, r, D) in canonical
+form: r > 0 and gcd(p, q, r) = 1, so equal numbers have equal fields.  D is a
 square-free non-negative integer fixed per computation; D = 0 encodes plain Q
-(with b forced to zero), so rational inputs run through the same code path as
+(with q forced to zero), so rational inputs run through the same code path as
 irrational ones.  Mixing elements of different fields is a hard error.
 
 Signs, comparisons and floors are decided by integer arithmetic only.  No
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -25,24 +27,46 @@ class FieldMixError(ValueError):
     """Raised when two elements of different quadratic fields are combined."""
 
 
+@lru_cache(maxsize=64)   # FieldElem() re-checks D on every public construction
 def _check_context(d: int) -> int:
     if d < 0:
         raise ValueError(f"negative field discriminant {d}")
     if d == 1:
         raise ValueError("D = 1 is not a valid field context (sqrt(1) is rational)")
-    if d > 1:
-        k = 2
-        while k * k <= d:
-            if d % (k * k) == 0:
-                raise ValueError(f"D = {d} is not square-free")
-            k += 1
+    if any(d % (k * k) == 0 for k in range(2, isqrt(d) + 1)):
+        raise ValueError(f"D = {d} is not square-free")
     return d
 
 
-class FieldElem:
-    """An element a + b*sqrt(D) of Q(sqrt(D)), with exact rational parts."""
+_new = object.__new__
 
-    __slots__ = ("_a", "_b", "_d")
+
+def _make(p: int, q: int, r: int, d: int) -> "FieldElem":
+    """(p + q*sqrt(d)) / r in canonical form; d is not re-validated."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    x = _new(FieldElem)
+    x._p, x._q, x._r, x._d = p, q, r, d
+    return x
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d)."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    # opposite signs: |p| vs |q|*sqrt(d); equality impossible for square-free d >= 2
+    return 1 if (p * p > q * q * d) == (p > 0) else -1
+
+
+class FieldElem:
+    """An element (p + q*sqrt(D)) / r of Q(sqrt(D)), in canonical integer form."""
+
+    __slots__ = ("_p", "_q", "_r", "_d")
 
     def __init__(self, a: _RatLike, b: _RatLike = 0, d: int = 0) -> None:
         _check_context(d)
@@ -50,17 +74,17 @@ class FieldElem:
         b = Fraction(b)
         if d == 0 and b != 0:
             raise ValueError("nonzero sqrt part with D = 0")
-        self._a = a
-        self._b = b
-        self._d = d
+        r = lcm(a.denominator, b.denominator)   # gcd(p, q, r) = 1 over the lcm
+        self._p, self._q = a.numerator * (r // a.denominator), b.numerator * (r // b.denominator)
+        self._r, self._d = r, d
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._p, self._r)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._q, self._r)
 
     @property
     def d(self) -> int:
@@ -70,45 +94,25 @@ class FieldElem:
 
     def lift(self, value: _RatLike | "FieldElem") -> "FieldElem":
         """Coerce an int/Fraction (or compatible element) into this field."""
-        if isinstance(value, FieldElem):
-            if value._d != self._d:
-                raise FieldMixError(f"mixing fields D={value._d} and D={self._d}")
-            return value
-        return FieldElem(value, 0, self._d)
+        o = self._coerce(value)
+        if o is None:
+            raise TypeError(f"cannot lift {value!r} into Q(sqrt({self._d}))")
+        return o
 
     def zero(self) -> "FieldElem":
-        return FieldElem(0, 0, self._d)
+        return _make(0, 0, 1, self._d)
 
     def one(self) -> "FieldElem":
-        return FieldElem(1, 0, self._d)
+        return _make(1, 0, 1, self._d)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self._a == 0 and self._b == 0
-
-    def is_rational(self) -> bool:
-        return self._b == 0
+        return self._p == 0 and self._q == 0
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(D), via integer comparison only."""
-        a, b = self._a, self._b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b|*sqrt(D); equality impossible for square-free D >= 2
-        lhs = a * a
-        rhs = b * b * self._d
-        if lhs > rhs:
-            return sa
-        if lhs < rhs:
-            return sb
-        return 0
+        return _sign(self._p, self._q, self._d)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -118,14 +122,17 @@ class FieldElem:
                 raise FieldMixError(f"mixing fields D={self._d} and D={other._d}")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElem(other, 0, self._d)
+            return _make(other.numerator, 0, other.denominator, self._d)
         return None
 
     def __add__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self._a + o._a, self._b + o._b, self._d)
+        r, s = self._r, o._r
+        if r == s:
+            return _make(self._p + o._p, self._q + o._q, r, self._d)
+        return _make(self._p * s + o._p * r, self._q * s + o._q * r, r * s, self._d)
 
     __radd__ = __add__
 
@@ -133,7 +140,10 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self._a - o._a, self._b - o._b, self._d)
+        r, s = self._r, o._r
+        if r == s:
+            return _make(self._p - o._p, self._q - o._q, r, self._d)
+        return _make(self._p * s - o._p * r, self._q * s - o._q * r, r * s, self._d)
 
     def __rsub__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
@@ -142,23 +152,22 @@ class FieldElem:
         return o - self
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(-self._a, -self._b, self._d)
+        return _make(-self._p, -self._q, self._r, self._d)
 
     def __mul__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, e = self._a, self._b, o._a, o._b
-        return FieldElem(a * c + b * e * self._d, a * e + b * c, self._d)
+        p, q, s, t = self._p, self._q, o._p, o._q
+        return _make(p * s + q * t * self._d, p * t + q * s, self._r * o._r, self._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        if self.is_zero():
+        p, q, r = self._p, self._q, self._r
+        if p == 0 and q == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        a, b = self._a, self._b
-        norm = a * a - b * b * self._d
-        return FieldElem(a / norm, -b / norm, self._d)
+        return _make(r * p, -r * q, p * p - q * q * self._d, self._d)
 
     def __truediv__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
@@ -173,21 +182,23 @@ class FieldElem:
         return o * self.inverse()
 
     def conjugate(self) -> "FieldElem":
-        return FieldElem(self._a, -self._b, self._d)
+        return _make(self._p, -self._q, self._r, self._d)
 
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._b == 0 and self._a == other
         if isinstance(other, FieldElem):
-            return self._a == other._a and self._b == other._b and self._d == other._d
+            return (self._p == other._p and self._q == other._q
+                    and self._r == other._r and self._d == other._d)
+        if isinstance(other, (int, Fraction)):
+            return (self._q == 0 and self._p == other.numerator
+                    and self._r == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if self._q == 0:
+            return hash(self._p) if self._r == 1 else hash(Fraction(self._p, self._r))
+        return hash((self._p, self._q, self._r, self._d))
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -211,25 +222,13 @@ class FieldElem:
 
     def floor(self) -> int:
         """Exact floor, via isqrt; no floating point."""
-        if self._b == 0:
-            return self._a.numerator // self._a.denominator
-        # write self = (p + q*sqrt(D)) / r with integers p, q and r > 0
-        ra, rb = self._a.denominator, self._b.denominator
-        r = ra * rb // _gcd(ra, rb)
-        p = self._a.numerator * (r // ra)
-        q = self._b.numerator * (r // rb)
-        s = isqrt(q * q * self._d)
-        if q >= 0:
-            approx = p + s          # q*sqrt(D) in [s, s+1)
-        else:
-            approx = p - s - 1      # q*sqrt(D) in (-s-1, -s]
-        f = approx // r
-        # correct the candidate with exact comparisons
-        while (self - (f + 1)).sign() >= 0:
-            f += 1
-        while (self - f).sign() < 0:
-            f -= 1
-        return f
+        p, q, r, d = self._p, self._q, self._r, self._d
+        if q == 0:
+            return p // r
+        # q*sqrt(D) is irrational, so its floor is s or -s-1 with s = isqrt(q*q*D);
+        # and floor(y / r) = floor(y) // r for any real y and integer r > 0
+        s = isqrt(q * q * d)
+        return (p + s if q > 0 else p - s - 1) // r
 
     def mod1(self) -> "FieldElem":
         """Canonical representative in [0, 1) of this element mod Z."""
@@ -237,27 +236,21 @@ class FieldElem:
 
     def __float__(self) -> float:
         # boundary conversions only (SVG output, informal ratio checks)
-        return float(self._a) + float(self._b) * self._d ** 0.5
+        return self._p / self._r + self._q / self._r * self._d ** 0.5
 
     # -- text form --------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"FieldElem({self._a!r}, {self._b!r}, d={self._d})"
+        return f"FieldElem({self.a!r}, {self.b!r}, d={self._d})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        b = f"{self._b}" if self._b >= 0 else f"{-self._b}"
-        op = "+" if self._b >= 0 else "-"
-        if self._a == 0:
-            return f"{'-' if self._b < 0 else ''}{b}sqrt{self._d}"
-        return f"{self._a}{op}{b}sqrt{self._d}"
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        op = "+" if b >= 0 else "-"
+        if a == 0:
+            return f"{'-' if b < 0 else ''}{abs(b)}sqrt{self._d}"
+        return f"{a}{op}{abs(b)}sqrt{self._d}"
 
 
 def fe(a: _RatLike, b: _RatLike = 0, d: int = 0) -> FieldElem:
@@ -318,15 +311,10 @@ class KVector:
         if not items and d is None:
             raise ValueError("empty vector needs an explicit field context")
         dd = items[0].d if d is None else d
-        for x in items:
-            if x.d != dd:
-                raise FieldMixError("vector entries from different fields")
+        if any(x._d != dd for x in items):
+            raise FieldMixError("vector entries from different fields")
         self.entries = items
         self.d = dd
-
-    @classmethod
-    def from_rationals(cls, values: Sequence[_RatLike], d: int = 0) -> "KVector":
-        return cls([FieldElem(v, 0, d) for v in values], d)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -360,10 +348,7 @@ class KVector:
     def dot(self, other: "KVector") -> FieldElem:
         if len(self) != len(other):
             raise ValueError("dimension mismatch in dot product")
-        acc = FieldElem(0, 0, self.d)
-        for x, y in zip(self.entries, other.entries):
-            acc = acc + x * y
-        return acc
+        return sum((x * y for x, y in zip(self.entries, other.entries)), _make(0, 0, 1, self.d))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.entries)
@@ -395,9 +380,8 @@ class KMatrix:
         for r in rr:
             if len(r) != nc:
                 raise ValueError("ragged matrix rows")
-            for x in r:
-                if x.d != dd:
-                    raise FieldMixError("matrix entries from different fields")
+            if any(x._d != dd for x in r):
+                raise FieldMixError("matrix entries from different fields")
         self.rows = rr
         self.nrows = len(rr)
         self.ncols = nc
@@ -482,9 +466,15 @@ class KMatrix:
 
     def kernel_basis(self) -> list[KVector]:
         """Canonical basis of the right kernel, in reduced echelon form."""
-        m, pivots = self._rref()
+        return self._kernel(*self._rref())
+
+    def _kernel(self, m: list[list[FieldElem]], pivots: list[int]) -> list[KVector]:
+        """Canonical kernel basis read off an rref of this matrix, or of this
+        matrix augmented on the right with a column holding no pivot."""
         free = [c for c in range(self.ncols) if c not in pivots]
-        zero, one = FieldElem(0, 0, self.d), FieldElem(1, 0, self.d)
+        if not free:
+            return []
+        zero, one = _make(0, 0, 1, self.d), _make(1, 0, 1, self.d)
         raw = []
         for f in free:
             v = [zero] * self.ncols
@@ -492,8 +482,6 @@ class KMatrix:
             for i, p in enumerate(pivots):
                 v[p] = -m[i][f]
             raw.append(v)
-        if not raw:
-            return []
         canon = KMatrix(raw, ncols=self.ncols, d=self.d).rref()
         return [canon.row(i) for i in range(canon.nrows)]
 
@@ -501,7 +489,8 @@ class KMatrix:
         """Solve A x = b; returns (particular solution, kernel basis) or None.
 
         The kernel basis is in canonical reduced echelon form, so re-solving
-        with it reproduces the same rows.
+        with it reproduces the same rows.  One elimination of [A | b] yields
+        both the solution and the kernel.
         """
         if len(b) != self.nrows:
             raise ValueError("right-hand side has wrong length")
@@ -510,11 +499,10 @@ class KMatrix:
         m, pivots = aug._rref()
         if self.ncols in pivots:
             return None
-        zero = FieldElem(0, 0, self.d)
-        x = [zero] * self.ncols
+        x = [_make(0, 0, 1, self.d)] * self.ncols
         for i, p in enumerate(pivots):
             x[p] = m[i][self.ncols]
-        return KVector(x, self.d), self.kernel_basis()
+        return KVector(x, self.d), self._kernel(m, pivots)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for r in self.rows for x in r)

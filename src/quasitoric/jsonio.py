@@ -3,7 +3,8 @@
 Field elements travel as rational strings: {"a": "p/q", "b": "r/s"} under a
 document-wide {"field": {"D": ...}} context, which keeps files exact and
 language neutral.  Encoding is canonical (sorted keys, fixed separators), so
-equal objects produce identical bytes.
+equal objects produce identical bytes.  Integer fields test `type(x) is int`:
+JSON `true`/`false` load as `bool`, an `int` subclass, and are refused.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from .field import FieldElem, KVector
+from .field import FieldElem, KVector, _check_context
 from .intlattice import AbelianGroupInvariants
 from .polytope import HalfSpace, PolytopeH
 from .quasilattice import Quasilattice, member
@@ -19,6 +20,7 @@ from . import construction
 from . import tilings
 
 SCHEMA_VERSION = 1
+MAX_FIELD_D = 10 ** 9   # largest accepted $.field.D (square-freeness is trial division)
 
 
 class ParseError(ValueError):
@@ -75,10 +77,16 @@ def decode_kvector(obj: Any, d: int, dim: int, path: str) -> KVector:
 
 
 def _field_context(doc: Any, path: str) -> int:
-    f = doc.get("field")
-    if not isinstance(f, dict) or not isinstance(f.get("D"), int):
+    f = doc.get("field") if isinstance(doc, dict) else None
+    if not isinstance(f, dict) or type(f.get("D")) is not int:
         raise ParseError(f"{path}.field", "expected {'D': <square-free int>}")
-    return f["D"]
+    d = f["D"]
+    if not 0 <= d <= MAX_FIELD_D:
+        raise ParseError(f"{path}.field.D", f"expected 0 <= D <= {MAX_FIELD_D}, got {d}")
+    try:
+        return _check_context(d)
+    except ValueError as exc:
+        raise ParseError(f"{path}.field.D", str(exc)) from None
 
 
 # -- quasilattices -------------------------------------------------------------
@@ -93,7 +101,7 @@ def decode_quasilattice(obj: Any, d: int, path: str) -> Quasilattice:
         raise ParseError(path, "expected a quasilattice object")
     dim = obj.get("dim")
     gens = obj.get("generators")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError(f"{path}.dim", "expected a positive integer")
     if not isinstance(gens, list) or not gens:
         raise ParseError(f"{path}.generators", "expected a non-empty list")
@@ -139,7 +147,7 @@ def parse_triple(doc: Any) -> construction.Triple:
     if not isinstance(poly, dict):
         raise ParseError("$.polytope", "expected a polytope object")
     dim = poly.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError("$.polytope.dim", "expected a positive integer")
     if dim != lattice.dim:
         raise ParseError("$.polytope.dim", "polytope and quasilattice dimensions differ")
@@ -158,7 +166,7 @@ def parse_triple(doc: Any) -> construction.Triple:
         cert = h.get("certificate")
         if cert is not None:
             if (not isinstance(cert, list)
-                    or any(not isinstance(c, int) for c in cert)
+                    or any(type(c) is not int for c in cert)
                     or len(cert) != lattice.m):
                 raise ParseError(f"{path}.certificate",
                                  f"expected {lattice.m} integers")
@@ -261,17 +269,24 @@ def encode_patch(p: tilings.Patch) -> dict:
             "roots": [_encode_node(r) for r in p.roots]}
 
 
-def _decode_node(obj: Any, path: str) -> tilings.Node:
+def _decode_node(obj: Any, path: str, level: int, depth: int) -> tilings.Node:
+    """Decode the node at tree depth `level`; leaves must sit at `depth`."""
     if not isinstance(obj, dict) or obj.get("kind") not in ("acute", "obtuse"):
         raise ParseError(path, "expected a node with kind acute|obtuse")
     verts = obj.get("vertices")
     if (not isinstance(verts, list) or len(verts) != 3
             or any(not isinstance(v, list) or len(v) != 4
-                   or any(not isinstance(x, int) for x in v) for v in verts)):
+                   or any(type(x) is not int for x in v) for v in verts)):
         raise ParseError(f"{path}.vertices", "expected three 4-integer vectors")
+    kids = obj.get("children", [])
+    if not isinstance(kids, list):
+        raise ParseError(f"{path}.children", "expected a list")
+    if bool(kids) != (level < depth):
+        raise ParseError(path, f"{'leaf' if not kids else 'node with children'} at tree "
+                               f"depth {level}, but every leaf must sit at depth {depth}")
     tile = tilings.HalfTile(obj["kind"], tuple(tilings.Cyclo(*v) for v in verts))
-    children = tuple(_decode_node(c, f"{path}.children[{i}]")
-                     for i, c in enumerate(obj.get("children", [])))
+    children = tuple(_decode_node(c, f"{path}.children[{i}]", level + 1, depth)
+                     for i, c in enumerate(kids))
     return tilings.Node(tile, children)
 
 
@@ -279,12 +294,12 @@ def parse_patch(doc: Any) -> tilings.Patch:
     if not isinstance(doc, dict) or doc.get("mode") not in ("p2", "p3"):
         raise ParseError("$.mode", "expected 'p2' or 'p3'")
     depth = doc.get("depth")
-    if not isinstance(depth, int) or depth < 0:
+    if type(depth) is not int or depth < 0:
         raise ParseError("$.depth", "expected a non-negative integer")
     roots = doc.get("roots")
     if not isinstance(roots, list) or not roots:
         raise ParseError("$.roots", "expected a non-empty list")
     return tilings.Patch(doc["mode"],
-                         tuple(_decode_node(r, f"$.roots[{i}]")
+                         tuple(_decode_node(r, f"$.roots[{i}]", 0, depth)
                                for i, r in enumerate(roots)),
                          depth)

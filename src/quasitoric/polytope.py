@@ -91,11 +91,10 @@ class PolytopeH:
         seen: dict[KVector, VertexData] = {}
         for subset in itertools.combinations(range(self.d), n):
             a = KMatrix.from_vectors([self.halfspaces[j].normal for j in subset])
-            if a.rank() < n:
-                continue
             sol = a.solve(KVector([self.halfspaces[j].level for j in subset],
                                   d=self.field_d))
-            assert sol is not None
+            if sol is None or sol[1]:
+                continue  # rank-deficient subset: no unique intersection point
             point = sol[0]
             if point in seen or not self.contains(point):
                 continue

@@ -24,10 +24,9 @@ cancellation, and that every tile is congruent to its kind's shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .field import FieldElem
+from .field import FieldElem, _make
 
 Kind = Literal["acute", "obtuse"]
 Mode = Literal["p2", "p3"]
@@ -90,8 +89,7 @@ class Cyclo:
     def real(self) -> FieldElem:
         """Exact real part, an element of Q(sqrt(5))."""
         a0, a1, a2, a3 = self.c
-        q = Fraction(1, 4)
-        return FieldElem(a0 + q * (-a1 - a2 - a3), q * (a1 - a2 - a3), 5)
+        return _make(4 * a0 - a1 - a2 - a3, a1 - a2 - a3, 4, 5)
 
     def imag_scaled(self) -> FieldElem:
         """Im(self) / sin(72 deg / phi scale): exactly a1*phi + a2 - a3.
@@ -100,8 +98,7 @@ class Cyclo:
         and collinearity read off this projection exactly.
         """
         a0, a1, a2, a3 = self.c
-        h = Fraction(1, 2)
-        return FieldElem(a2 - a3 + h * a1, h * a1, 5)
+        return _make(2 * (a2 - a3) + a1, a1, 2, 5)
 
     def norm_squared(self) -> FieldElem:
         prod = self * self.conjugate()
@@ -120,6 +117,7 @@ class Cyclo:
 PHI_C = Cyclo(0, 0, -1, -1)       # the golden ratio as a ring element
 ONE_C = Cyclo(1)
 ROT36 = -Cyclo.zeta(3)            # exp(i*pi/5), rotation by 36 degrees
+PHI_SQUARED = _make(3, 1, 2, 5)   # (3 + sqrt5) / 2
 
 
 def cross_sign(o: Cyclo, u: Cyclo, v: Cyclo) -> int:
@@ -164,9 +162,8 @@ class HalfTile:
         l1, l2, base = self.edge_lengths_squared()
         if l1 != l2:
             raise ValueError(f"{self.kind} half-tile is not isosceles")
-        phi2 = phi_squared()
-        golden = base * phi2 == l1          # golden triangle: legs = phi * base
-        gnomon = l1 * phi2 == base          # gnomon: base = phi * legs
+        golden = base * PHI_SQUARED == l1   # golden triangle: legs = phi * base
+        gnomon = l1 * PHI_SQUARED == base   # gnomon: base = phi * legs
         expected_golden = (mode == "p2") == (self.kind == "acute")
         if expected_golden and not golden:
             raise ValueError(f"bad shape for {mode} {self.kind} half-tile")
@@ -176,10 +173,6 @@ class HalfTile:
     def glue_edge(self, mode: Mode) -> tuple[Cyclo, Cyclo]:
         a, b1, b2 = self.vertices
         return (a, b2) if mode == "p2" else (b1, b2)
-
-
-def phi_squared() -> FieldElem:
-    return FieldElem(Fraction(3, 2), Fraction(1, 2), 5)
 
 
 @dataclass(frozen=True)
@@ -589,20 +582,18 @@ def _svg_document(body: list[str], points: list[complex], digits: int) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def render_svg(source: "Patch | Sequence[WholeTile]", digits: int = 12) -> str:
+def render_svg(source: "Patch | Sequence[WholeTile]", digits: int = 12,
+               depth: int = 0) -> str:
     """Deterministic SVG for a patch's leaves or a list of paired tiles.
 
     Ring-to-float conversion happens only here; stored coordinates at depth k
-    are divided by phi^k.
+    are divided by phi^k.  Paired tiles carry no depth of their own, so it is
+    passed as `depth` (the depth of the patch they were paired from).
     """
-    polys: list[tuple[str, list[complex]]] = []
     if isinstance(source, Patch):
-        scale = ((1 + 5 ** 0.5) / 2) ** (-source.depth)
-        for t in source.leaves():
-            polys.append((t.kind, [v.to_complex() * scale for v in t.vertices]))
-    else:
-        for tile in source:
-            polys.append((tile.kind, [v.to_complex() for v in tile.vertices]))
+        depth, source = source.depth, source.leaves()
+    scale = ((1 + 5 ** 0.5) / 2) ** (-depth)
+    polys = [(t.kind, [v.to_complex() * scale for v in t.vertices]) for t in source]
     body = []
     points: list[complex] = []
     for kind, pts in polys:

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from quasitoric import jsonio
 from quasitoric.cli import main
@@ -201,3 +204,64 @@ def test_qtk_precision_env(tmp_path, capsys, monkeypatch):
     for token in out.split('"'):
         if token.replace("-", "").replace(".", "").isdigit() and "." in token:
             assert len(token.split(".")[1]) <= 3
+
+
+def _svg_points(svg):
+    box = [float(v) for v in re.search(r'viewBox="([^"]+)"', svg).group(1).split()]
+    pts = [tuple(float(c) for c in pair.split(","))
+           for attr in re.findall(r'points="([^"]+)"', svg) for pair in attr.split()]
+    return box, pts
+
+
+@pytest.mark.parametrize("mode", ["p2", "p3"])
+def test_paired_render_shares_the_plain_scale(mode, tmp_path, capsys):
+    patch_path = tmp_path / "patch.json"
+    code, _, _ = run(capsys, "tile", "--type", mode, "--steps", "3", "--doubled",
+                     "--output", str(patch_path))
+    assert code == 0
+    _, plain, _ = run(capsys, "render", "--input", str(patch_path))
+    code, paired, _ = run(capsys, "render", "--input", str(patch_path), "--paired")
+    assert code == 0
+    (x0, y0, w, h), _ = _svg_points(plain)
+    _, pts = _svg_points(paired)
+    assert pts
+    for x, y in pts:
+        assert x0 <= x <= x0 + w and y0 <= y <= y0 + h
+
+
+def test_boolean_certificate_rejected(tmp_path, capsys):
+    doc = jsonio.encode_triple(get_example("quasisphere"))
+    doc["polytope"]["halfspaces"][0]["certificate"] = [False, True]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 1
+    assert "$.polytope.halfspaces[0].certificate" in err
+
+
+@pytest.mark.parametrize("d, words", [(4, "not square-free"),
+                                      (999999999989, "expected 0 <= D <= 1000000000"),
+                                      (-3, "expected 0 <= D"),
+                                      (True, None)])
+def test_field_d_checked_at_the_parse_boundary(d, words, tmp_path, capsys):
+    doc = jsonio.encode_triple(get_example("sphere"))
+    doc["field"]["D"] = d
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 1
+    assert err.startswith("parse error: $.field")
+    if words:
+        assert "$.field.D" in err and words in err
+
+
+def test_patch_leaves_must_sit_at_the_patch_depth(capsys):
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    doc["depth"] = 5
+    with pytest.raises(jsonio.ParseError, match=r"\$\.roots\[0\]\.children\[0\]\.children\[0\]"):
+        jsonio.parse_patch(doc)
+    doc["depth"] = 1
+    with pytest.raises(jsonio.ParseError, match=r"^\$\.roots\[0\]\.children\[0\]: node with"):
+        jsonio.parse_patch(doc)
+    doc["depth"] = 2
+    assert jsonio.parse_patch(doc) == deflate(seed("p2"), 2)

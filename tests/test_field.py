@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -194,6 +194,21 @@ def test_solve_resubstitution_random():
         for v in kernel:
             assert a.matvec(v).is_zero()
         assert len(kernel) == n - a.rank()
+        assert kernel == a.kernel_basis()
+    # rank-deficient square inputs: the last row combines the others and the
+    # right-hand side is consistent, so solve returns a non-empty kernel
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        rows = [[rand_fe(rng, 5) for _ in range(n)] for _ in range(n - 1)]
+        c = [rand_fe(rng, 5) for _ in range(n - 1)]
+        rows.append([sum((ci * r[j] for ci, r in zip(c, rows)), fe(0, 0, 5))
+                     for j in range(n)])
+        a = KMatrix(rows)
+        x = KVector([rand_fe(rng, 5) for _ in range(n)])
+        part, kernel = a.solve(a.matvec(x))
+        assert a.matvec(part) == a.matvec(x)
+        assert kernel and kernel == a.kernel_basis()
+        assert len(kernel) == n - a.rank()
 
 
 def test_kernel_echelon_idempotent():
@@ -207,3 +222,83 @@ def test_kernel_echelon_idempotent():
         km = KMatrix.from_vectors(kernel)
         assert km.rref() == km
         assert km.kernel_basis() == KMatrix.from_vectors(kernel).kernel_basis()
+
+
+# -- the canonical integer form against a reference on Fraction pairs ----------
+
+
+def _ref_sign(a, b, d):
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * d else sb
+
+
+def _ref_floor(a, b, d):
+    f = int(a + b * Fraction(isqrt(d * 10 ** 40), 10 ** 20)) - 2
+    while _ref_sign(a - (f + 1), b, d) >= 0:
+        f += 1
+    return f
+
+
+def _rand_pair(rng, d):
+    a = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice([1, 2, 4, rng.randint(1, 10 ** 4)]))
+    b = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 50)) if d else Fraction(0)
+    if rng.random() < 0.1:
+        a = Fraction(0)
+    return a, b
+
+
+def _parts(x):
+    return (x.a, x.b)
+
+
+@pytest.mark.parametrize("d", [0, 2, 3, 5])
+def test_integer_form_against_fraction_pairs(d):
+    rng = random.Random(1000 + d)
+    for _ in range(300):
+        (a, b), (c, e) = _rand_pair(rng, d), _rand_pair(rng, d)
+        x, y = FieldElem(a, b, d), FieldElem(c, e, d)
+        assert _parts(x) == (a, b) and _parts(y) == (c, e)
+        assert _parts(x + y) == (a + c, b + e)
+        assert _parts(x - y) == (a - c, b - e)
+        assert _parts(-x) == (-a, -b)
+        assert _parts(x * y) == (a * c + b * e * d, a * e + b * c)
+        if c or e:
+            norm = c * c - e * e * d
+            assert _parts(x / y) == ((a * c - b * e * d) / norm, (b * c - a * e) / norm)
+        assert x.sign() == _ref_sign(a, b, d)
+        assert (x - y).sign() == _ref_sign(a - c, b - e, d)
+        assert x.floor() == _ref_floor(a, b, d)
+        assert (x == y) == ((a, b) == (c, e))
+        assert x == FieldElem(a, b, d) and hash(x) == hash(FieldElem(a, b, d))
+        if c or e:
+            again = x * y / y        # same value reached through other denominators
+            assert again == x and hash(again) == hash(x)
+        if b == 0:
+            assert x == a and hash(x) == hash(a)
+        for z in (x, y, x + y, x * y, x - y):
+            assert z._r > 0
+            assert gcd(z._p, z._q, z._r) == 1
+            assert d or z._q == 0
+
+
+def test_hash_matches_rationals():
+    assert hash(fe(3)) == hash(3)
+    assert hash(fe(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(fe(Fraction(-7, 3), 0, 5)) == hash(Fraction(-7, 3))
+    assert len({fe(2), 2, Fraction(2), fe(4) / 2}) == 1
+
+
+def test_floor_near_integers():
+    # a - b*sqrt(D) with a^2 - D*b^2 = 1 lies within 1/(2ab) above zero
+    for d, a, b in [(2, 99, 70), (2, 577, 408), (3, 97, 56), (5, 161, 72), (5, 2889, 1292)]:
+        for sign in (1, -1):
+            for r in (1, 2, 3, 7):
+                for k in range(-3, 4):
+                    x = (FieldElem(a, -b, d) * sign + k) / r
+                    f = x.floor()
+                    assert f == _ref_floor(x.a, x.b, d)
+                    assert (x - f).sign() >= 0 and (x - (f + 1)).sign() < 0
