@@ -11,8 +11,9 @@ Commands
     report     presentation plus charts in one document
 
 Exit codes: 0 success, 2 mathematically meaningful refusal (nonsimple
-polytope, degenerate cut), 1 anything else.  Refusals are structured JSON on
-stderr.  QTK_PRECISION sets SVG float digits (default 12).
+polytope, degenerate cut) or a patch over the tile budget, 1 anything else.
+Refusals are structured JSON on stderr.  QTK_PRECISION sets SVG float digits
+(default 12).
 """
 from __future__ import annotations
 
@@ -129,11 +130,20 @@ def cmd_cut(args: argparse.Namespace) -> int:
 
 
 def cmd_tile(args: argparse.Namespace) -> int:
+    roots = 2 if args.doubled else 1
+    leaves = tilings.leaf_count(args.seed, roots, args.steps)
+    if leaves > tilings.MAX_TILE_LEAVES:
+        return _refuse("tile-budget", {"leaves": leaves, "budget": tilings.MAX_TILE_LEAVES})
     patch = tilings.seed(args.type, args.seed)
     if args.doubled:
         patch = tilings.mirror_double(patch)
     patch = tilings.deflate(patch, args.steps)
-    _write(jsonio.dumps_canonical(jsonio.encode_patch(patch)), args.output)
+    doc = jsonio.encode_patch(patch)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            jsonio.write_canonical(doc, fh.write)
+    else:
+        jsonio.write_canonical(doc, sys.stdout.write)
     return 0
 
 
@@ -224,6 +234,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _refuse("degenerate-cut", {"detail": str(exc)})
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
+        return 1
+    except RecursionError:
+        sys.stderr.write("parse error: $: document nested too deeply\n")
         return 1
     except (ValueError, OSError, json.JSONDecodeError, DegenerateTripleError) as exc:
         sys.stderr.write(f"error: {exc}\n")

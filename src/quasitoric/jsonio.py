@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .field import FieldElem, KVector, _check_context
 from .intlattice import AbelianGroupInvariants
@@ -31,8 +31,72 @@ class ParseError(ValueError):
         self.path = path
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_FLUSH_PARTS = 4096   # pieces gathered before one call of `write`
+
+
+def write_canonical(doc: Any, write: Callable[[str], Any]) -> None:
+    """Send `json.dumps(doc, sort_keys=True, indent=2) + "\\n"` to `write`.
+
+    The same bytes, built without the pure-Python encoder that `indent`
+    forces on `json.dumps` and without holding the whole text: strings go
+    through the C string encoder and the text leaves in joined pieces of about
+    `_FLUSH_PARTS` fragments.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def emit(o: Any, nl: str) -> None:   # nl: newline plus the current indent
+        if len(parts) >= _FLUSH_PARTS:
+            write("".join(parts))
+            parts.clear()
+        if isinstance(o, str):
+            put(_encode_str(o))
+        elif isinstance(o, int) and not isinstance(o, bool):
+            put(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for x in o:
+                put(sep)
+                emit(x, inner)
+                sep = "," + inner
+            put(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                put(sep)
+                put(_encode_str(k if isinstance(k, str) else _scalar_key(k)))
+                put(": ")
+                emit(v, inner)
+                sep = "," + inner
+            put(nl + "}")
+        else:
+            put(json.dumps(o))
+
+    emit(doc, "\n")
+    put("\n")
+    write("".join(parts))
+
+
+def _scalar_key(k: Any) -> str:
+    """The text `json` gives a non-string dict key."""
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def dumps_canonical(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    parts: list[str] = []
+    write_canonical(doc, parts.append)
+    return "".join(parts)
 
 
 # -- field elements ----------------------------------------------------------
@@ -111,11 +175,6 @@ def decode_quasilattice(obj: Any, d: int, path: str) -> Quasilattice:
         return Quasilattice(dim, vectors)
     except ValueError as exc:
         raise ParseError(path, str(exc)) from None
-
-
-def quasilattice_document(q: Quasilattice) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "field": {"D": q.field_d},
-            "quasilattice": encode_quasilattice(q)}
 
 
 def parse_quasilattice_document(doc: Any) -> Quasilattice:

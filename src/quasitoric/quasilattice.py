@@ -156,10 +156,3 @@ def quotient_by(q: Quasilattice, certificates: Sequence[Sequence[int]],
     torsion = tuple(f for f in dec.invariant_factors() if f >= 2)
     free = q.m - len(dec.invariant_factors())
     return QuotientPresentation(AbelianGroupInvariants(free, torsion), tuple(images))
-
-
-def span_sublattice(q: Quasilattice, vectors: Sequence[KVector]) -> Quasilattice:
-    """The quasilattice generated by `vectors` (each certified in q first)."""
-    for v in vectors:
-        certify(q, v)
-    return Quasilattice(q.dim, tuple(vectors))

@@ -56,25 +56,29 @@ class Cyclo:
         return hash(self.c)
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(*(a + b for a, b in zip(self.c, other.c)))
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        return Cyclo(a0 + b0, a1 + b1, a2 + b2, a3 + b3)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(*(a - b for a, b in zip(self.c, other.c)))
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        return Cyclo(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
 
     def __neg__(self) -> "Cyclo":
         return Cyclo(*(-a for a in self.c))
 
     def __mul__(self, other: "Cyclo | int") -> "Cyclo":
+        a0, a1, a2, a3 = self.c
         if isinstance(other, int):
-            return Cyclo(*(a * other for a in self.c))
-        acc = [0] * 5
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    if b:
-                        acc[(i + j) % 5] += a * b
-        k = acc[4]
-        return Cyclo(acc[0] - k, acc[1] - k, acc[2] - k, acc[3] - k)
+            return Cyclo(a0 * other, a1 * other, a2 * other, a3 * other)
+        b0, b1, b2, b3 = other.c
+        # coefficients of z^0..z^4 after z^5 = 1; then z^4 = -(1 + z + z^2 + z^3)
+        k = a1 * b3 + a2 * b2 + a3 * b1
+        return Cyclo(a0 * b0 + a2 * b3 + a3 * b2 - k,
+                     a0 * b1 + a1 * b0 + a3 * b3 - k,
+                     a0 * b2 + a1 * b1 + a2 * b0 - k,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - k)
 
     __rmul__ = __mul__
 
@@ -100,10 +104,15 @@ class Cyclo:
         a0, a1, a2, a3 = self.c
         return _make(2 * (a2 - a3) + a1, a1, 2, 5)
 
-    def norm_squared(self) -> FieldElem:
+    def abs_squared(self) -> "Cyclo":
+        """self * conj(self), a real element of the ring."""
         prod = self * self.conjugate()
-        assert prod.imag_scaled().is_zero()
-        return prod.real()
+        _, c1, c2, c3 = prod.c
+        assert c1 == 0 and c2 == c3   # imag_scaled() == 0, in integers
+        return prod
+
+    def norm_squared(self) -> FieldElem:
+        return self.abs_squared().real()
 
     def to_complex(self) -> complex:
         import cmath
@@ -117,7 +126,7 @@ class Cyclo:
 PHI_C = Cyclo(0, 0, -1, -1)       # the golden ratio as a ring element
 ONE_C = Cyclo(1)
 ROT36 = -Cyclo.zeta(3)            # exp(i*pi/5), rotation by 36 degrees
-PHI_SQUARED = _make(3, 1, 2, 5)   # (3 + sqrt5) / 2
+PHI2_C = PHI_C * PHI_C            # phi^2 = phi + 1
 
 
 def cross_sign(o: Cyclo, u: Cyclo, v: Cyclo) -> int:
@@ -152,22 +161,22 @@ class HalfTile:
         a, b1, b2 = self.vertices
         return HalfTile(self.kind, (a, b2, b1))
 
-    def edge_lengths_squared(self) -> tuple[FieldElem, FieldElem, FieldElem]:
-        a, b1, b2 = self.vertices
-        return ((b1 - a).norm_squared(), (b2 - a).norm_squared(),
-                (b2 - b1).norm_squared())
-
     def check_shape(self, mode: Mode) -> None:
-        """Isosceles with the base/leg ratio dictated by (mode, kind)."""
-        l1, l2, base = self.edge_lengths_squared()
-        if l1 != l2:
+        """Isosceles with the base/leg ratio dictated by (mode, kind).
+
+        Squared lengths are compared in the ring: 1, z, z^2, z^3 is a
+        Z-basis, so equal values have equal coefficient tuples.
+        """
+        a, b1, b2 = self.vertices
+        l1 = (b1 - a).abs_squared()
+        if l1.c != (b2 - a).abs_squared().c:
             raise ValueError(f"{self.kind} half-tile is not isosceles")
-        golden = base * PHI_SQUARED == l1   # golden triangle: legs = phi * base
-        gnomon = l1 * PHI_SQUARED == base   # gnomon: base = phi * legs
-        expected_golden = (mode == "p2") == (self.kind == "acute")
-        if expected_golden and not golden:
-            raise ValueError(f"bad shape for {mode} {self.kind} half-tile")
-        if not expected_golden and not gnomon:
+        base = (b2 - b1).abs_squared()
+        if (mode == "p2") == (self.kind == "acute"):
+            ok = (base * PHI2_C).c == l1.c    # golden triangle: legs = phi * base
+        else:
+            ok = (l1 * PHI2_C).c == base.c    # gnomon: base = phi * legs
+        if not ok:
             raise ValueError(f"bad shape for {mode} {self.kind} half-tile")
 
     def glue_edge(self, mode: Mode) -> tuple[Cyclo, Cyclo]:
@@ -241,7 +250,9 @@ def seed(mode: Mode, kind: Kind = "acute") -> Patch:
 
 
 def _lift(p: Cyclo) -> Cyclo:
-    return PHI_C * p
+    # PHI_C * p in closed form
+    a0, a1, a2, a3 = p.c
+    return Cyclo(a1 - a3, a1 + a2 - a3, a1 + a2 - a0, a2 - a0)
 
 
 def _mix(p: Cyclo, q: Cyclo) -> Cyclo:
@@ -292,6 +303,24 @@ def _subdivide(mode: Mode, t: HalfTile) -> tuple[HalfTile, ...]:
     for c in children:
         c.check_shape(mode)
     return children
+
+
+MAX_TILE_LEAVES = 250_000   # `tile` budget: acute seed doubled, depth 12 (242 786) fits
+
+
+def leaf_count(kind: Kind, roots: int, steps: int) -> int:
+    """Leaves after `steps` deflations of `roots` seeds of one kind.
+
+    Acute -> 2 acute + 1 obtuse, obtuse -> 1 acute + 1 obtuse.  Counting stops
+    at the first depth whose count exceeds MAX_TILE_LEAVES and returns that
+    count: then a lower bound, but already over the budget.
+    """
+    a, o = (roots, 0) if kind == "acute" else (0, roots)
+    for _ in range(steps):
+        if a + o > MAX_TILE_LEAVES:
+            break
+        a, o = 2 * a + o, a + o
+    return a + o
 
 
 def deflate(patch: Patch, steps: int) -> Patch:
@@ -352,6 +381,21 @@ def _on_segment(p: Cyclo, q: Cyclo, x: Cyclo) -> bool:
     return dpx.sign() >= 0 and (dq - dpx).sign() >= 0
 
 
+def _uncancelled_edges(tiles: Sequence[HalfTile]) -> dict[tuple[Cyclo, Cyclo], int]:
+    """Directed edges of `tiles` left after opposite pairs cancel, with counts."""
+    counts: dict[tuple[Cyclo, Cyclo], int] = {}
+    for t in tiles:
+        for e in _oriented_edges(t):
+            rev = (e[1], e[0])
+            if counts.get(rev, 0) > 0:
+                counts[rev] -= 1
+                if counts[rev] == 0:
+                    del counts[rev]
+            else:
+                counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
 def children_tile_parent(mode: Mode, parent: HalfTile,
                          children: Sequence[HalfTile]) -> bool:
     """Edge-cancellation check: the children exactly tile the lifted parent.
@@ -361,21 +405,10 @@ def children_tile_parent(mode: Mode, parent: HalfTile,
     by a contiguous chain with the parent's orientation.
     """
     lifted = HalfTile(parent.kind, tuple(_lift(v) for v in parent.vertices))
-    counts: dict[tuple[Cyclo, Cyclo], int] = {}
-    for ch in children:
-        for e in _oriented_edges(ch):
-            rev = (e[1], e[0])
-            if counts.get(rev, 0) > 0:
-                counts[rev] -= 1
-                if counts[rev] == 0:
-                    del counts[rev]
-            else:
-                counts[e] = counts.get(e, 0) + 1
-    remaining: list[tuple[Cyclo, Cyclo]] = []
-    for e, k in counts.items():
-        if k != 1:
-            return False  # an edge traversed twice in the same direction
-        remaining.append(e)
+    counts = _uncancelled_edges(children)
+    if any(k != 1 for k in counts.values()):
+        return False  # an edge traversed twice in the same direction
+    remaining = list(counts)
 
     used = [False] * len(remaining)
     for start, end in _oriented_edges(lifted):
@@ -522,17 +555,7 @@ def pair_tiles(patch: Patch, mode: Optional[Mode] = None) -> PairReport:
 
 def boundary_edges(patch: Patch) -> list[tuple[Cyclo, Cyclo]]:
     """Uncancelled directed leaf edges: the boundary of the patch union."""
-    counts: dict[tuple[Cyclo, Cyclo], int] = {}
-    for t in patch.leaves():
-        for e in _oriented_edges(t):
-            rev = (e[1], e[0])
-            if counts.get(rev, 0) > 0:
-                counts[rev] -= 1
-                if counts[rev] == 0:
-                    del counts[rev]
-            else:
-                counts[e] = counts.get(e, 0) + 1
-    return [e for e, k in counts.items() for _ in range(k)]
+    return [e for e, k in _uncancelled_edges(patch.leaves()).items() for _ in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from quasitoric import jsonio
+from quasitoric import jsonio, tilings
 from quasitoric.cli import main
 from quasitoric.construction import build_presentation
 from quasitoric.examples import EXAMPLES, get_example
@@ -265,3 +265,47 @@ def test_patch_leaves_must_sit_at_the_patch_depth(capsys):
         jsonio.parse_patch(doc)
     doc["depth"] = 2
     assert jsonio.parse_patch(doc) == deflate(seed("p2"), 2)
+
+
+def test_tile_budget_accepts_a_patch_at_the_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tilings, "MAX_TILE_LEAVES", 21)    # depth 3 from one acute seed
+    out = tmp_path / "patch.json"
+    code, _, err = run(capsys, "tile", "--type", "p2", "--steps", "3", "--output", str(out))
+    assert (code, err) == (0, "")
+    assert len(jsonio.parse_patch(json.loads(out.read_text())).leaves()) == 21
+    code, _, err = run(capsys, "tile", "--type", "p2", "--steps", "4", "--output", str(out))
+    assert code == 2
+    assert json.loads(err) == {"refusal": "tile-budget", "leaves": 55, "budget": 21}
+
+
+@pytest.mark.parametrize("steps, leaves", [("13", 317811), ("1000000000", 317811)])
+def test_tile_over_budget_refused_before_any_work(steps, leaves, tmp_path, capsys):
+    out = tmp_path / "patch.json"
+    code, stdout, err = run(capsys, "tile", "--type", "p3", "--steps", steps,
+                            "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {"refusal": "tile-budget", "leaves": leaves,
+                               "budget": tilings.MAX_TILE_LEAVES}
+    assert not out.exists()
+
+
+def test_tile_output_file_equals_stdout(tmp_path, capsys):
+    argv = ["tile", "--type", "p3", "--steps", "6", "--seed", "obtuse", "--doubled"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "patch.json"
+    code, _, _ = run(capsys, *argv, "--output", str(out))
+    assert code == 0
+    assert out.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("render", '{"mode": "p2", "depth": 0, "roots": ' + "[" * 1500 + "]" * 1500 + "}"),
+    ("validate", '{"field": {"D": 0}, "quasilattice": ' + '{"a": ' * 1500 + "0"
+     + "}" * 1500 + "}"),
+])
+def test_deeply_nested_document_is_a_parse_error(command, text, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, "--input", str(path))
+    assert (code, err) == (1, "parse error: $: document nested too deeply\n")

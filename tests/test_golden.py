@@ -42,6 +42,8 @@ GOLDEN = {
         (0, "9a4cd6056c8b00ae86d34047a2928c55b2bbb05b83f67f5133980e8f037f0e2a"),
     "tile --type p3 --steps 5 --doubled":
         (0, "4ad85919a7e1085b208c0c635ee4e9134cc7a632f9f3c86a16c89e6e4cb80646"),
+    "tile --type p2 --steps 8":
+        (0, "cf5e479bf38ad733782d581892b5a597755fd4af4501f1b17388090a45be4f9b"),
 }
 
 

@@ -1,14 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from quasitoric.field import fe, phi
-from quasitoric.tilings import (Cyclo, HalfTile, InflateError, PHI_C,
-                                ROT36, boundary_edges,
+from quasitoric.tilings import (Cyclo, HalfTile, InflateError, MAX_TILE_LEAVES,
+                                PHI_C, ROT36, boundary_edges,
                                 children_tile_parent, deflate, inflate,
-                                mirror_double, mirror_mate, pair_tiles,
+                                leaf_count, mirror_double, mirror_mate, pair_tiles,
                                 render_star, render_svg, seed, tile_triple,
-                                verify_patch, _on_segment)
+                                verify_patch, _lift, _on_segment)
 
 
 # -- ring ---------------------------------------------------------------------
@@ -55,6 +56,41 @@ def test_conjugation_is_involution():
         assert z.conjugate().conjugate() == z
 
 
+def _reduce(acc):
+    """Coefficients of z^0..z^4 to the basis 1, z, z^2, z^3 (z^4 = -1-z-z^2-z^3)."""
+    return tuple(x - acc[4] for x in acc[:4])
+
+
+def _ref_mul(a, b):
+    acc = [0] * 5
+    for i in range(4):
+        for j in range(4):
+            acc[(i + j) % 5] += a[i] * b[j]
+    return _reduce(acc)
+
+
+def _ref_conjugate(a):
+    acc = [0] * 5
+    for k in range(4):
+        acc[-k % 5] += a[k]
+    return _reduce(acc)
+
+
+def test_unrolled_arithmetic_matches_reference_convolution():
+    rng = random.Random(5)
+    for _ in range(2000):
+        bits = rng.choice((3, 20, 90))
+        a = tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(4))
+        b = tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(4))
+        x, y = Cyclo(*a), Cyclo(*b)
+        assert (x * y).c == _ref_mul(a, b)
+        assert (x + y).c == tuple(p + q for p, q in zip(a, b))
+        assert (x - y).c == tuple(p - q for p, q in zip(a, b))
+        assert x.conjugate().c == _ref_conjugate(a)
+        assert _lift(x).c == _ref_mul(PHI_C.c, a)
+        assert x.abs_squared().c == _ref_mul(a, _ref_conjugate(a))
+
+
 # -- substitution -------------------------------------------------------------
 
 
@@ -64,6 +100,54 @@ def test_seed_shapes():
             s = seed(mode, kind)
             s.roots[0].tile.check_shape(mode)
             assert s.depth == 0
+
+
+@pytest.mark.parametrize("mode", ["p2", "p3"])
+@pytest.mark.parametrize("kind", ["acute", "obtuse"])
+def test_check_shape_rejects_wrong_shapes(mode, kind):
+    a, b1, b2 = seed(mode, kind).roots[0].tile.vertices
+    with pytest.raises(ValueError, match="not isosceles"):
+        HalfTile(kind, (a, b1 * 2, b2)).check_shape(mode)
+    # the other kind's seed has the other triangle (golden vs gnomon)
+    other = "obtuse" if kind == "acute" else "acute"
+    with pytest.raises(ValueError, match="bad shape"):
+        HalfTile(kind, seed(mode, other).roots[0].tile.vertices).check_shape(mode)
+    # isosceles with a 72 degree apex: neither ratio
+    with pytest.raises(ValueError, match="bad shape"):
+        HalfTile(kind, (Cyclo(), Cyclo(1), Cyclo.zeta(1))).check_shape(mode)
+
+
+def test_deflate_checks_every_created_child(monkeypatch):
+    calls = []
+    check = HalfTile.check_shape
+    monkeypatch.setattr(HalfTile, "check_shape",
+                        lambda tile, mode: calls.append(tile) or check(tile, mode))
+
+    def nodes(node):
+        return 1 + sum(nodes(c) for c in node.children)
+
+    for mode in ("p2", "p3"):
+        for kind in ("acute", "obtuse"):
+            start = mirror_double(seed(mode, kind))
+            calls.clear()
+            patch = deflate(start, 4)
+            created = sum(nodes(r) for r in patch.roots) - len(patch.roots)
+            assert len(calls) == created > 0
+
+
+def test_leaf_count_predicts_deflate():
+    for mode in ("p2", "p3"):
+        for kind in ("acute", "obtuse"):
+            for roots, start in ((1, seed(mode, kind)), (2, mirror_double(seed(mode, kind)))):
+                for steps in range(6):
+                    assert leaf_count(kind, roots, steps) == len(deflate(start, steps).leaves())
+
+
+def test_leaf_count_budget_boundary():
+    assert leaf_count("acute", 2, 12) == 242786 <= MAX_TILE_LEAVES
+    assert leaf_count("acute", 1, 13) == 317811 > MAX_TILE_LEAVES
+    # counting stops at the first depth past the budget
+    assert leaf_count("acute", 1, 10 ** 9) == 317811
 
 
 def test_deflate_zero_steps_identity():
