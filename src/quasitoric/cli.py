@@ -117,6 +117,9 @@ def cmd_cut(args: argparse.Namespace) -> int:
             raise ValueError("cut needs --normal and --level (or --axis-of)")
         d = triple.lattice.field_d
         parts = [p.strip() for p in args.normal.split(",")]
+        if len(parts) != triple.polytope.dim:
+            raise ValueError(f"--normal needs {triple.polytope.dim} comma-separated "
+                             f"entries (the polytope dimension), got {len(parts)}")
         normal = KVector([parse_field_elem(p, d) for p in parts])
         level = parse_field_elem(args.level, d)
     t_plus, t_minus, p_plus, p_minus = cut_and_present(triple, normal, level)

@@ -8,9 +8,12 @@ certified in Q), this module computes:
   * the cutting group data: continuous generators (the kernel rows again, read
     as exponent directions on the d-torus), discrete generators representing
     the component group, and the component group's invariant factors;
-  * one chart per vertex, with exact domain inequalities, the countable chart
-    group acting by angles mod Z^n, and the filled-slot records of the chart
-    map;
+  * one chart per vertex, with exact domain inequalities and the countable
+    chart group acting by angles mod Z^n.  At a simple vertex the n active
+    normals form a basis, so both come from one inverse: the coordinates in
+    the basis dual to the active normals.  (The chart map's filled-slot
+    records are a JSON-only view of the domain rows, written by
+    :func:`quasitoric.jsonio.encode_charts`.)
   * a classification (manifold / orbifold / quasifold, or a structured refusal
     for nonsimple input).
 
@@ -87,8 +90,6 @@ class Triple:
                 f"full_dim={report.full_dim} irredundant={report.irredundant_facets}")
         if not report.simple:
             raise NonsimpleTripleError(classify(self))
-        if self.projection().rank() != self.polytope.dim:
-            raise DegenerateTripleError("degenerate triple: normals do not span")
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,12 @@ class DomainIneq:
 
 
 @dataclass(frozen=True)
-class SlotExpr:
-    """Filled slot sqrt(scale * (bound - sum coeff |z|^2)) of the chart map."""
-
-    facet: int
-    domain_row: int
-    scale: FieldElem
-
-
-@dataclass(frozen=True)
 class Chart:
     vertex: VertexData
     active: tuple[int, ...]
     domain_ineqs: tuple[DomainIneq, ...]
     group_gens: tuple[KVector, ...]       # angle vectors mod Z^n
     group_invariants: AbelianGroupInvariants
-    slot_exprs: tuple[SlotExpr, ...]
 
     def kind(self) -> str:
         if self.group_invariants.is_trivial():
@@ -219,8 +210,7 @@ def build_presentation(triple: Triple) -> Presentation:
         disc.append(theta)
 
     component = quotient_by(triple.lattice, triple.certificates)
-    return Presentation(d, n, tuple(rows), tuple(kernel), tuple(disc),
-                        component.invariants)
+    return Presentation(d, n, tuple(rows), tuple(kernel), tuple(disc), component)
 
 
 # ---------------------------------------------------------------------------
@@ -230,45 +220,33 @@ def build_presentation(triple: Triple) -> Presentation:
 
 def build_charts(triple: Triple) -> list[Chart]:
     triple.ensure_valid()
-    n = triple.polytope.dim
     charts = []
     for vertex in triple.polytope.vertices():
         active = vertex.active_facets
         a = KMatrix.from_vectors([triple.normals[j] for j in active])
-        # dual basis u_k with <u_k, X_{active[l]}> = delta_{kl}
-        duals = []
-        for k in range(n):
-            rhs = KVector([FieldElem(1 if i == k else 0, 0, a.d) for i in range(n)])
-            sol = a.solve(rhs)
-            assert sol is not None and not sol[1]
-            duals.append(sol[0])
+        # row k of coords is the dual basis vector u_k, <u_k, X_{active[l]}> = delta_{kl};
+        # coords.matvec(x) gives the coordinates of x in the active normals
+        coords = a.transpose().inverse()
 
         domain = []
-        slots = []
-        for row_index, j in enumerate(sorted(set(range(triple.polytope.d)) - set(active))):
+        for j in sorted(set(range(triple.polytope.d)) - set(active)):
             h = triple.polytope.halfspaces[j]
-            coeffs = KVector([-(u.dot(h.normal)) for u in duals], d=a.d)
             bound = h.slack(vertex.point)
             if bound.sign() <= 0:
                 raise AssertionError("internal invariant breach: non-positive bound")
-            domain.append(DomainIneq(j, coeffs, bound))
-            slots.append(SlotExpr(j, row_index, FieldElem(1, 0, a.d)))
+            domain.append(DomainIneq(j, -coords.matvec(h.normal), bound))
 
-        at = a.transpose()
         gens = []
         for gen in triple.lattice.generators:
-            mat, rhs = split_target(gen, [triple.normals[j] for j in active], n)
-            if int_solve(mat, rhs, ncols=n) is not None:
-                continue  # gen lies in the Z-span of the active normals
-            sol = at.solve(gen)
-            assert sol is not None and not sol[1]
-            angles = KVector([x.mod1() for x in sol[0]], d=a.d)
-            gens.append(angles)
+            angles = KVector([x.mod1() for x in coords.matvec(gen)], d=a.d)
+            # the coordinates are unique, so gen lies in the Z-span of the
+            # active normals exactly when they are all integers
+            if not angles.is_zero():
+                gens.append(angles)
 
         group = quotient_by(triple.lattice,
                             [triple.certificates[j] for j in active])
-        charts.append(Chart(vertex, active, tuple(domain), tuple(gens),
-                            group.invariants, tuple(slots)))
+        charts.append(Chart(vertex, active, tuple(domain), tuple(gens), group))
     return charts
 
 

@@ -18,8 +18,6 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
-
 _RatLike = Union[int, Fraction]
 
 
@@ -101,9 +99,6 @@ class FieldElem:
 
     def zero(self) -> "FieldElem":
         return _make(0, 0, 1, self._d)
-
-    def one(self) -> "FieldElem":
-        return _make(1, 0, 1, self._d)
 
     # -- predicates -----------------------------------------------------------
 
@@ -409,9 +404,6 @@ class KMatrix:
     def row(self, i: int) -> KVector:
         return KVector(self.rows[i], self.d)
 
-    def column(self, j: int) -> KVector:
-        return KVector([r[j] for r in self.rows], self.d)
-
     def transpose(self) -> "KMatrix":
         return KMatrix([[self.rows[i][j] for i in range(self.nrows)]
                         for j in range(self.ncols)], ncols=self.nrows, d=self.d)
@@ -503,6 +495,21 @@ class KMatrix:
         for i, p in enumerate(pivots):
             x[p] = m[i][self.ncols]
         return KVector(x, self.d), self._kernel(m, pivots)
+
+    def inverse(self) -> "KMatrix":
+        """A^-1 of a square matrix, from one elimination of [A | I].
+
+        Raises ZeroDivisionError when A is singular.
+        """
+        n = self.nrows
+        if self.ncols != n:
+            raise ValueError("inverse of a non-square matrix")
+        eye = KMatrix.identity(n, self.d).rows
+        aug = KMatrix([r + e for r, e in zip(self.rows, eye)], ncols=2 * n, d=self.d)
+        m, pivots = aug._rref()
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("inverse of a singular matrix")
+        return KMatrix([r[n:] for r in m], ncols=n, d=self.d)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for r in self.rows for x in r)

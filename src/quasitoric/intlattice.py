@@ -27,39 +27,8 @@ def _eye(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a:
-        return []
-    nb = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(nb)]
-            for i in range(len(a))]
-
-
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> IntVector:
     return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
-
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant via Bareiss elimination (test helper, small n)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = _copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +238,6 @@ class AbelianGroupInvariants:
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
         return " x ".join(parts) if parts else "trivial"
-
-
-def quotient_invariants(ambient_relations: IntMatrix, subgroup_gens: IntMatrix,
-                        ncols: int) -> AbelianGroupInvariants:
-    """Invariant factors of Z^ncols modulo the row span of both inputs."""
-    stacked = [list(r) for r in ambient_relations] + [list(r) for r in subgroup_gens]
-    for r in stacked:
-        if len(r) != ncols:
-            raise ValueError("row length does not match ncols")
-    if not stacked:
-        return AbelianGroupInvariants(ncols, ())
-    factors = snf(stacked, ncols=ncols).invariant_factors()
-    torsion = tuple(f for f in factors if f >= 2)
-    return AbelianGroupInvariants(ncols - len(factors), torsion)
 
 
 def integer_kernel(a: IntMatrix, ncols: int) -> IntMatrix:

@@ -291,6 +291,8 @@ def decode_invariants(obj: Any) -> AbelianGroupInvariants:
 
 
 def encode_charts(charts: Sequence[construction.Chart]) -> dict:
+    d = charts[0].vertex.point.d if charts else 0
+    one = encode_fe(FieldElem(1, 0, d))
     out = []
     for c in charts:
         out.append({
@@ -301,10 +303,10 @@ def encode_charts(charts: Sequence[construction.Chart]) -> dict:
                         "bound": encode_fe(i.bound)} for i in c.domain_ineqs],
             "group_gens": [encode_kvector(g) for g in c.group_gens],
             "group_invariants": encode_invariants(c.group_invariants),
-            "slot_exprs": [{"facet": s.facet, "domain_row": s.domain_row,
-                            "scale": encode_fe(s.scale)} for s in c.slot_exprs],
+            # the chart map fills each slot with sqrt(bound - sum coeff |z|^2)
+            "slot_exprs": [{"facet": i.facet, "domain_row": k, "scale": one}
+                           for k, i in enumerate(c.domain_ineqs)],
         })
-    d = charts[0].vertex.point.d if charts else 0
     return {"schema_version": SCHEMA_VERSION, "field": {"D": d}, "charts": out}
 
 

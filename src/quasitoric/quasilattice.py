@@ -42,36 +42,15 @@ class Quasilattice:
         return self.generators[0].d
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
-    """A quotient of a quasilattice by the Z-span of some of its members."""
-
-    invariants: AbelianGroupInvariants
-    generator_images: tuple[tuple[int, ...], ...]
-
-
-def rational_split_columns(vectors: Sequence[KVector], dim: int) -> IntMatrix:
-    """Integer matrix whose columns carry the split coordinates of `vectors`.
+def split_target(x: KVector, vectors: Sequence[KVector], dim: int,
+                 ) -> tuple[IntMatrix, IntVector]:
+    """Integer system (mat, rhs) whose integer solutions c are exactly those
+    of sum_i c_i vectors[i] == x.
 
     Row block 1 holds the rational parts of each coordinate, block 2 the
-    sqrt(D) parts (block 2 rows are all zero when D = 0); denominators are
-    cleared row by row, so integer solutions are preserved exactly.
+    sqrt(D) parts (all zero when D = 0); each row and its target share one
+    denominator-clearing scale, so integer solutions are preserved exactly.
     """
-    rows: list[list[Fraction]] = []
-    for i in range(dim):
-        rows.append([v[i].a for v in vectors])
-    for i in range(dim):
-        rows.append([v[i].b for v in vectors])
-    out: IntMatrix = []
-    for r in rows:
-        den = lcm(*(f.denominator for f in r)) if r else 1
-        out.append([int(f * den) for f in r])
-    return out
-
-
-def split_target(x: KVector, vectors: Sequence[KVector], dim: int,
-                  ) -> tuple[IntMatrix, IntVector]:
-    """Split both the generator matrix and target, with a common row scaling."""
     rows: list[tuple[list[Fraction], Fraction]] = []
     for i in range(dim):
         rows.append(([v[i].a for v in vectors], x[i].a))
@@ -119,7 +98,9 @@ def relation_lattice(q: Quasilattice) -> IntMatrix:
 
     Being the integer kernel of an integer matrix, the lattice is saturated.
     """
-    return integer_kernel(rational_split_columns(q.generators, q.dim), q.m)
+    zero = FieldElem(0, 0, q.field_d)
+    mat, _ = split_target(KVector([zero] * q.dim, d=q.field_d), q.generators, q.dim)
+    return integer_kernel(mat, q.m)
 
 
 def z_rank(q: Quasilattice) -> int:
@@ -132,8 +113,8 @@ def is_discrete(q: Quasilattice) -> bool:
 
 
 def quotient_by(q: Quasilattice, certificates: Sequence[Sequence[int]],
-                ) -> QuotientPresentation:
-    """Group Q / Z-span{certified vectors}, with images of the generators.
+                ) -> AbelianGroupInvariants:
+    """Invariants of the group Q / Z-span{certified vectors}.
 
     Each certificate is an integer coefficient vector over the generators of
     Q; the quotient is computed as Z^m / (relations + certificate rows).
@@ -143,16 +124,7 @@ def quotient_by(q: Quasilattice, certificates: Sequence[Sequence[int]],
         if len(r) != q.m:
             raise ValueError("certificate length does not match generator count")
     if not rows:
-        images = tuple(tuple(1 if i == j else 0 for j in range(q.m))
-                       for i in range(q.m))
-        return QuotientPresentation(AbelianGroupInvariants(q.m, ()), images)
-    dec = snf(rows, ncols=q.m)
-    diag = dec.diagonal + [0] * (q.m - len(dec.diagonal))
-    keep = [j for j in range(q.m) if diag[j] != 1]
-    images = []
-    for i in range(q.m):
-        y = [dec.v[i][j] for j in range(q.m)]  # row i of V = image coordinates
-        images.append(tuple(y[j] % diag[j] if diag[j] > 1 else y[j] for j in keep))
-    torsion = tuple(f for f in dec.invariant_factors() if f >= 2)
-    free = q.m - len(dec.invariant_factors())
-    return QuotientPresentation(AbelianGroupInvariants(free, torsion), tuple(images))
+        return AbelianGroupInvariants(q.m, ())
+    factors = snf(rows, ncols=q.m).invariant_factors()
+    torsion = tuple(f for f in factors if f >= 2)
+    return AbelianGroupInvariants(q.m - len(factors), torsion)

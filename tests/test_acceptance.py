@@ -16,10 +16,12 @@ from quasitoric.examples import (EXAMPLES, get_example, kite_axis_cut,
                                  load_quasilattice, orbisphere, quasisphere,
                                  sphere)
 from quasitoric.field import FieldElem, KMatrix, KVector, fe, phi
-from quasitoric.intlattice import hnf_basis, int_solve, mat_mul, mat_vec, snf, det
+from quasitoric.intlattice import hnf_basis, int_solve, mat_vec, snf
 from quasitoric.polytope import HalfSpace, PolytopeH
 from quasitoric.quasilattice import combination, member
 from quasitoric.tilings import deflate, inflate, seed, verify_patch
+
+from intmatrix import det, mat_mul
 
 
 def kv5(*xs):

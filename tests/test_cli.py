@@ -96,6 +96,16 @@ def test_cut_with_explicit_normal(capsys):
     assert doc["plus"]["presentation"]["level_rows"]
 
 
+@pytest.mark.parametrize("example,normal,dim,given", [
+    ("sphere", "1,0", 1, 2), ("kite", "1", 2, 1), ("cube", "1,0,0,0", 3, 4)])
+def test_cut_normal_arity_names_the_flag(example, normal, dim, given, capsys):
+    code, out, err = run(capsys, "cut", "--example", example,
+                         "--normal", normal, "--level", "0")
+    assert (code, out) == (1, "")
+    assert err == (f"error: --normal needs {dim} comma-separated entries "
+                   f"(the polytope dimension), got {given}\n")
+
+
 def test_cut_degenerate_exit_2(capsys):
     code, _out, err = run(capsys, "cut", "--example", "sphere",
                           "--normal", "1", "--level", "7")

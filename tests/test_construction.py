@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,9 @@ from quasitoric.examples import (cube, dodecahedron, get_example, kite,
                                  kite_axis_cut, octahedron, orbisphere,
                                  quasisphere, sphere, tetrahedron)
 from quasitoric.field import FieldElem, KMatrix, KVector, fe, phi
-from quasitoric.intlattice import hnf_basis
+from quasitoric.intlattice import hnf_basis, int_solve
 from quasitoric.polytope import HalfSpace, PolytopeH
-from quasitoric.quasilattice import Quasilattice
+from quasitoric.quasilattice import Quasilattice, combination, split_target
 
 
 def kv5(*xs):
@@ -70,7 +71,6 @@ def test_quasisphere_charts():
     assert ineq.facet == 1
     assert list(ineq.coefficients) == [p - 1]
     assert ineq.bound == fe(1, 0, 5)
-    assert south.slot_exprs[0].facet == 1
     north = charts[1]
     assert north.group_invariants.free_rank == 1
 
@@ -140,6 +140,60 @@ def test_kite_chart_finiteness_matches_rational_angles():
         finite = c.group_invariants.is_finite()
         rational_angles = all(x.b == 0 for g in c.group_gens for x in g)
         assert finite == rational_angles
+
+
+SIMPLE_EXAMPLES = ("cube", "dodecahedron", "kite", "oblate_rhombohedron",
+                   "orbisphere", "prolate_rhombohedron", "quasisphere", "sphere",
+                   "tetrahedron", "thick_rhombus", "thin_rhombus")
+
+
+def seeded_halves(t, rng, tries=3):
+    """Both halves of `tries` cuts of t: normal a small integer combination of
+    the generators, level strictly between two consecutive vertex values."""
+    halves = []
+    points = [v.point for v in t.polytope.vertices()]
+    while len(halves) < 2 * tries:
+        cert = [rng.randint(-2, 2) for _ in range(t.lattice.m)]
+        normal = combination(t.lattice, cert)
+        values = sorted(set(normal.dot(x) for x in points))
+        if len(values) < 2:
+            continue
+        k = rng.randrange(len(values) - 1)
+        level = (values[k] + values[k + 1]) / 2
+        t_plus, t_minus, _pp, _pm = cut_and_present(t, normal, level, cert)
+        halves += [t_plus, t_minus]
+    return halves
+
+
+def test_chart_generators_against_integer_membership():
+    # independent route: a generator is left out of group_gens exactly when
+    # the integer system of the active normals has a solution, and the angles
+    # of the others are the field solution of A^T x = gen, reduced mod 1
+    rng = random.Random(4242)
+    seen_in_span = seen_outside = 0
+    for name in SIMPLE_EXAMPLES:
+        t = get_example(name)
+        for triple in [t] + seeded_halves(t, rng):
+            n = triple.polytope.dim
+            for chart in build_charts(triple):
+                normals = [triple.normals[j] for j in chart.active]
+                at = KMatrix.from_columns(normals)
+                expected = []
+                for gen in triple.lattice.generators:
+                    cert = int_solve(*split_target(gen, normals, n), ncols=n)
+                    if cert is not None:
+                        assert sum((v.scale(c) for c, v in zip(cert, normals)),
+                                   gen.scale(0)) == gen
+                        seen_in_span += 1
+                        continue
+                    x, kernel = at.solve(gen)
+                    assert not kernel
+                    angles = KVector([c.mod1() for c in x], d=gen.d)
+                    assert not angles.is_zero()
+                    expected.append(angles)
+                    seen_outside += 1
+                assert list(chart.group_gens) == expected, name
+    assert seen_in_span and seen_outside
 
 
 # -- half-kite via cutting -------------------------------------------------------

@@ -224,6 +224,49 @@ def test_kernel_echelon_idempotent():
         assert km.kernel_basis() == KMatrix.from_vectors(kernel).kernel_basis()
 
 
+def _product(a, b):
+    cols = b.transpose()
+    return KMatrix([[a.row(i).dot(cols.row(j)) for j in range(b.ncols)]
+                    for i in range(a.nrows)], ncols=b.ncols, d=a.d)
+
+
+@pytest.mark.parametrize("d", [0, 2, 5])
+def test_inverse_random(d):
+    rng = random.Random(2000 + d)
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        a = KMatrix([[rand_fe(rng, d) for _ in range(n)] for _ in range(n)])
+        if a.rank() < n:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            continue
+        inv = a.inverse()
+        eye = KMatrix.identity(n, d)
+        assert _product(a, inv) == eye and _product(inv, a) == eye
+        # column j of the inverse is the solution of A x = e_j
+        for j in range(n):
+            x, kernel = a.solve(eye.row(j))
+            assert not kernel and x == inv.transpose().row(j)
+        checked += 1
+    assert checked >= 70
+
+
+@pytest.mark.parametrize("d", [0, 2, 5])
+def test_inverse_of_singular_matrix_raises(d):
+    rng = random.Random(3000 + d)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = [[rand_fe(rng, d) for _ in range(n)] for _ in range(n - 1)]
+        c = [rand_fe(rng, d) for _ in range(n - 1)]
+        rows.append([sum((ci * r[j] for ci, r in zip(c, rows)), fe(0, 0, d))
+                     for j in range(n)])
+        with pytest.raises(ZeroDivisionError):
+            KMatrix(rows).inverse()
+    with pytest.raises(ValueError):
+        KMatrix([[fe(1), fe(0)]]).inverse()
+
+
 # -- the canonical integer form against a reference on Fraction pairs ----------
 
 

@@ -38,6 +38,54 @@ GOLDEN = {
         (0, "b0a0c4200594ba8dd8f2aad18951a0c2ebb88b520d16b183b8048a9fa7d95815"),
     "report --example thin_rhombus --format json":
         (0, "e1dafd8e039ce60544a4ea839f67fed36a90407f29bb84a76376178e2dacec40"),
+    "report --example cube":
+        (0, "a9282dae8c9b749463804126bc624deca027116b9bff6668c3394be8bd2a4c36"),
+    "report --example dodecahedron":
+        (0, "ca4ad230f0562adea92cc2bf95fd84192ffc79568688edcc98018ebac19e37e7"),
+    "report --example icosahedron": (2, EMPTY),
+    "report --example kite":
+        (0, "b49650f03c90e1fa3c3e4e95e318e9ceea6cab162fd3999844e8c51bc24cf8f4"),
+    "report --example oblate_rhombohedron":
+        (0, "f54acda4f8837b8a0f4de753c8fc2ade03c6f2740d277269592d2d5800f75607"),
+    "report --example octahedron": (2, EMPTY),
+    "report --example orbisphere":
+        (0, "170388576bcfa8c778b2fbefa961ccf56567abc44d889ad9d6232c0ff430db5c"),
+    "report --example prolate_rhombohedron":
+        (0, "8930a40253b6124825c0b37351a362e8995c7c631ca1cf0be237c29b83b14dc1"),
+    "report --example quasisphere":
+        (0, "2876c987e94de545995edff5b02879803a9cbf637bb6e3565997a5a065ef531b"),
+    "report --example sphere":
+        (0, "5e423f3bc335d087e14a2e87d1a012203cb9bcff8d6a8f2ef18a105affa535ab"),
+    "report --example tetrahedron":
+        (0, "2dd30c487a1e3769b568f1c6b6d0d54e634bcd48af1c34ba3d25d483a5441f0b"),
+    "report --example thick_rhombus":
+        (0, "c1e8558f6b18ef8def22dbc80b3351f691e728aa5ad64db1feca05c0122402ca"),
+    "report --example thin_rhombus":
+        (0, "640cdc3d427dc09abefe19ee4da6183bebfe139800eae60f0433d87f7fa9d69a"),
+    "charts --example cube --format json":
+        (0, "bdac9a374c82288c911461f9a0d01a28fae3bc89351053b61edbf22ac015a54b"),
+    "charts --example dodecahedron --format json":
+        (0, "7f86eb087a08aa56b1caac72ad9093398ed1b44dc396d7efd0aba296f6e26118"),
+    "charts --example kite --format json":
+        (0, "8d27b7f630e291fc7baee5444369e4a0389da6c57ca35e5b016ee469f6c7ee74"),
+    "charts --example oblate_rhombohedron --format json":
+        (0, "46ceffb233df81e23be771abb132bbe2f6e22377ee74762e851b15a6f0c36bb0"),
+    "charts --example orbisphere --format json":
+        (0, "c12d3ba0854efaa70d3709ba01373469d310f1862a7630232ed9d6d5255cb1f4"),
+    "charts --example prolate_rhombohedron --format json":
+        (0, "190cc6d68301a1ff47c58d30b98922ec175dc8fe668462422a12838c28a98348"),
+    "charts --example quasisphere --format json":
+        (0, "336f87c65a31c3d6d95f7872192d3df50141796672898e54ec87ce2d881d1587"),
+    "charts --example sphere --format json":
+        (0, "b301971efe0d0b5f406bfb29941d80c41d8e0bd7a198fcc1a1b93ad86c68b9b6"),
+    "charts --example tetrahedron --format json":
+        (0, "d77f2439f554f83e002fe113ddee41461a702fd60061f6f15739db41f6e6dc55"),
+    "charts --example thick_rhombus --format json":
+        (0, "0c74b49d458102927937563eb6e37739a6354e03654ee6330f9f4ef1bdbf66f7"),
+    "charts --example thin_rhombus --format json":
+        (0, "c6fd5d7868cf4f1c20853f031fa2c8190d7186f3bd7fce519bacabf343f4ec6b"),
+    "cut --example sphere --normal 1 --level 1/2":
+        (0, "9c7e91dff2bae846d85b32000d360b6a3015efbabc093da997e68a58eb1e7775"),
     "cut --example kite --axis-of kite":
         (0, "9a4cd6056c8b00ae86d34047a2928c55b2bbb05b83f67f5133980e8f037f0e2a"),
     "tile --type p3 --steps 5 --doubled":
@@ -49,6 +97,13 @@ GOLDEN = {
 
 def test_every_example_has_a_golden_report():
     assert {f"report --example {n} --format json" for n in EXAMPLES} <= set(GOLDEN)
+    assert {f"report --example {n}" for n in EXAMPLES} <= set(GOLDEN)
+
+
+def test_every_simple_example_has_golden_charts():
+    simple = {n for n in EXAMPLES if GOLDEN[f"report --example {n}"][0] == 0}
+    assert len(simple) == 11
+    assert {f"charts --example {n} --format json" for n in simple} <= set(GOLDEN)
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))

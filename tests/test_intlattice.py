@@ -2,9 +2,12 @@ import itertools
 import random
 from math import lcm
 
-from quasitoric.intlattice import (AbelianGroupInvariants, det, hnf, hnf_basis,
-                                   int_solve, integer_kernel, mat_mul, mat_vec,
-                                   quotient_invariants, snf)
+from quasitoric.examples import load_quasilattice
+from quasitoric.intlattice import (AbelianGroupInvariants, hnf, hnf_basis,
+                                   int_solve, integer_kernel, mat_vec, snf)
+from quasitoric.quasilattice import quotient_by, relation_lattice
+
+from intmatrix import det, mat_mul
 
 
 def is_hnf(h):
@@ -135,30 +138,36 @@ def test_int_solve_absence_confirmed_by_box_search():
 
 
 def test_quotient_invariants_examples():
-    # Z^2 / <(3,0),(0,2)> is cyclic of order 6
-    inv = quotient_invariants([], [[3, 0], [0, 2]], 2)
+    # Z^2 / <(3,0),(0,2)> is cyclic of order 6; Z^2 has no relations
+    z2 = load_quasilattice("integer_lattice_2")
+    assert relation_lattice(z2) == []
+    inv = quotient_by(z2, [[3, 0], [0, 2]])
     assert inv == AbelianGroupInvariants(0, (6,))
     # coset enumeration oracle: (1,1) has order 6 = group order
     cosets = {(i % 3, j % 2) for i in range(3) for j in range(2)}
     assert len(cosets) == 6
     assert lcm(3, 2) == 6
 
-    assert quotient_invariants([], [[1, 0], [0, 1]], 2).is_trivial()
-    inv = quotient_invariants([[1, 1, 1, 1, 1]], [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 5)
+    assert quotient_by(z2, [[1, 0], [0, 1]]).is_trivial()
+    pentagon = load_quasilattice("pentagon")
+    assert relation_lattice(pentagon) == [[1, 1, 1, 1, 1]]
+    inv = quotient_by(pentagon, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
     assert inv.free_rank == 2 and inv.torsion == ()
 
 
 def test_quotient_invariants_unimodular_invariance():
     rng = random.Random(43)
     base = [[2, 4, 0], [0, 6, 3]]
-    ref = quotient_invariants([], base, 3)
+    z3 = load_quasilattice("integer_lattice_3")
+    assert relation_lattice(z3) == []
+    ref = quotient_by(z3, base)
     for _ in range(50):
         rows = [r[:] for r in base]
         for _ in range(4):
             i, j = rng.sample(range(len(rows)), 2)
             q = rng.randint(-3, 3)
             rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-        assert quotient_invariants([], rows, 3) == ref
+        assert quotient_by(z3, rows) == ref
 
 
 def test_integer_kernel_saturated():

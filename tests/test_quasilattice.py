@@ -81,34 +81,33 @@ def test_quotient_quasisphere_chart():
     p = phi()
     q = Quasilattice(1, (KVector([fe(1, 0, 5)]), KVector([p])))
     res = quotient_by(q, [[0, 1]])
-    assert res.invariants.free_rank == 1 and not res.invariants.torsion
-    assert res.generator_images == ((1,), (0,))
+    assert res.free_rank == 1 and not res.torsion
 
 
 def test_quotient_orbisphere_chart():
     q = Quasilattice(1, (KVector([fe(1)]),))
     res = quotient_by(q, [[3]])
-    assert res.invariants.free_rank == 0 and res.invariants.torsion == (3,)
+    assert res.free_rank == 0 and res.torsion == (3,)
 
 
 def test_quotient_manifold_chart():
     q = Quasilattice(2, (KVector([fe(1), fe(0)]), KVector([fe(0), fe(1)])))
     res = quotient_by(q, [[1, 0], [0, 1]])
-    assert res.invariants.is_trivial()
+    assert res.is_trivial()
 
 
 def test_quotient_by_all_generators_trivial():
     for gens in (pentagon_roots(), (kv5(1, 0), kv5(0, 1))):
         q = Quasilattice(2, gens)
         eye = [[1 if i == j else 0 for j in range(q.m)] for i in range(q.m)]
-        assert quotient_by(q, eye).invariants.is_trivial()
+        assert quotient_by(q, eye).is_trivial()
 
 
 def test_kite_chart_group_from_quotient():
     # ambient pentagon relations + two vertex normals of the kite
     q = Quasilattice(2, pentagon_roots())
     res = quotient_by(q, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
-    assert res.invariants.free_rank == 2 and not res.invariants.torsion
+    assert res.free_rank == 2 and not res.torsion
 
 
 def test_generators_must_span():
