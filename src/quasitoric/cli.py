@@ -11,7 +11,8 @@ Commands
     report     presentation plus charts in one document
 
 Exit codes: 0 success, 2 mathematically meaningful refusal (nonsimple
-polytope, degenerate cut) or a patch over the tile budget, 1 anything else.
+polytope, degenerate cut) or a patch over the tile budget, 1 anything else
+(usage errors included).
 Refusals are structured JSON on stderr.  QTK_PRECISION sets SVG float digits
 (default 12).
 """
@@ -155,11 +156,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.star:
         _write(tilings.render_star(args.star, digits), args.output)
         return 0
+    hook = jsonio.patch_hook()
     if args.input == "-" or args.input is None:
-        doc = json.load(sys.stdin)
+        doc = json.load(sys.stdin, object_hook=hook)
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=hook)
     patch = jsonio.parse_patch(doc)
     if args.paired:
         _write(tilings.render_svg(tilings.pair_tiles(patch).tiles, digits, patch.depth),
@@ -227,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # after --help (0) or a usage error (2; 2 is for refusals here)
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except NonsimpleTripleError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from .field import FieldElem, KVector, _check_context
 from .intlattice import AbelianGroupInvariants
@@ -330,37 +330,114 @@ def encode_patch(p: tilings.Patch) -> dict:
             "roots": [_encode_node(r) for r in p.roots]}
 
 
-def _decode_node(obj: Any, path: str, level: int, depth: int) -> tilings.Node:
-    """Decode the node at tree depth `level`; leaves must sit at `depth`."""
+def _is_point(v: Any) -> bool:
+    return (isinstance(v, list) and len(v) == 4
+            and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is int)
+
+
+def _node_fault(obj: Any) -> Optional[tuple[str, str]]:
+    """(path suffix, message) saying why `obj` is no node object, or None.
+
+    Only the node's own fields are read; each child is judged on its own.
+    """
     if not isinstance(obj, dict) or obj.get("kind") not in ("acute", "obtuse"):
-        raise ParseError(path, "expected a node with kind acute|obtuse")
+        return "", "expected a node with kind acute|obtuse"
     verts = obj.get("vertices")
-    if (not isinstance(verts, list) or len(verts) != 3
-            or any(not isinstance(v, list) or len(v) != 4
-                   or any(type(x) is not int for x in v) for v in verts)):
-        raise ParseError(f"{path}.vertices", "expected three 4-integer vectors")
-    kids = obj.get("children", [])
-    if not isinstance(kids, list):
-        raise ParseError(f"{path}.children", "expected a list")
-    if bool(kids) != (level < depth):
-        raise ParseError(path, f"{'leaf' if not kids else 'node with children'} at tree "
-                               f"depth {level}, but every leaf must sit at depth {depth}")
-    tile = tilings.HalfTile(obj["kind"], tuple(tilings.Cyclo(*v) for v in verts))
-    children = tuple(_decode_node(c, f"{path}.children[{i}]", level + 1, depth)
-                     for i, c in enumerate(kids))
-    return tilings.Node(tile, children)
+    if not isinstance(verts, list) or len(verts) != 3 or not all(map(_is_point, verts)):
+        return ".vertices", "expected three 4-integer vectors"
+    if not isinstance(obj.get("children", []), list):
+        return ".children", "expected a list"
+    return None
+
+
+class _Points(dict):
+    """One `Cyclo` per distinct coefficient tuple."""
+
+    def __missing__(self, key: tuple[int, ...]) -> tilings.Cyclo:
+        p = self[key] = tilings.Cyclo(*key)
+        return p
+
+
+def patch_hook() -> Callable[[dict], Any]:
+    """A `json.load` object_hook for one patch document.
+
+    A node object whose children all decoded becomes a `tilings.Node`, its
+    points shared through a table of this document only; any other object
+    stays a dict for `parse_patch` to diagnose.
+    """
+    points, Node, HalfTile = _Points(), tilings.Node, tilings.HalfTile
+
+    def hook(obj: dict) -> Any:
+        kids = obj.get("children", ())
+        if _node_fault(obj) is not None or not all(type(c) is Node for c in kids):
+            return obj
+        a, b1, b2 = obj["vertices"]
+        tile = HalfTile(obj["kind"], (points[tuple(a)], points[tuple(b1)], points[tuple(b2)]))
+        return Node(tile, tuple(kids))
+
+    return hook
+
+
+def _rehook(obj: Any, hook: Callable[[dict], Any]) -> Any:
+    """`hook` applied to every object of a JSON tree, children first, as
+    `json.load(..., object_hook=hook)` applies it; other values pass through."""
+    if isinstance(obj, dict):
+        return hook({k: _rehook(v, hook) for k, v in obj.items()})
+    if isinstance(obj, list):
+        return [_rehook(x, hook) for x in obj]
+    return obj
 
 
 def parse_patch(doc: Any) -> tilings.Patch:
+    """The patch of a document loaded plainly or through `patch_hook()`.
+
+    Every leaf must sit at tree depth `depth` and every tile must have its
+    kind's shape.  A shape depends only on (kind, b1 - a, b2 - a), so one
+    `check_shape` per distinct key decides every tile of the document.
+    """
     if not isinstance(doc, dict) or doc.get("mode") not in ("p2", "p3"):
         raise ParseError("$.mode", "expected 'p2' or 'p3'")
-    depth = doc.get("depth")
+    mode, depth, roots = doc["mode"], doc.get("depth"), doc.get("roots")
     if type(depth) is not int or depth < 0:
         raise ParseError("$.depth", "expected a non-negative integer")
-    roots = doc.get("roots")
     if not isinstance(roots, list) or not roots:
         raise ParseError("$.roots", "expected a non-empty list")
-    return tilings.Patch(doc["mode"],
-                         tuple(_decode_node(r, f"$.roots[{i}]", 0, depth)
-                               for i, r in enumerate(roots)),
-                         depth)
+    roots = _rehook(roots, patch_hook())
+    shapes: dict[tuple, Optional[str]] = {}   # shape key -> fault message or None
+    trail: list[int] = []                     # root index, then child indices
+
+    def fail(suffix: str, message: str) -> NoReturn:
+        path = f"$.roots[{trail[0]}]" + "".join(f".children[{i}]" for i in trail[1:])
+        raise ParseError(path + suffix, message)
+
+    def walk(node: Any) -> None:
+        decoded = type(node) is tilings.Node
+        fault = None if decoded else _node_fault(node)   # undecoded: a fault here or below
+        if fault:
+            fail(*fault)
+        kids = node.children if decoded else node.get("children", [])
+        level = len(trail) - 1
+        if bool(kids) != (level < depth):
+            fail("", f"{'leaf' if not kids else 'node with children'} at tree "
+                     f"depth {level}, but every leaf must sit at depth {depth}")
+        if decoded:
+            tile = node.tile
+            (a0, a1, a2, a3), (p0, p1, p2, p3), (q0, q1, q2, q3) = (v.c for v in tile.vertices)
+            key = (tile.kind, p0 - a0, p1 - a1, p2 - a2, p3 - a3,
+                   q0 - a0, q1 - a1, q2 - a2, q3 - a3)
+            if key not in shapes:
+                try:
+                    shapes[key] = tile.check_shape(mode)
+                except ValueError as exc:
+                    shapes[key] = str(exc)
+            if shapes[key] is not None:
+                fail(".vertices", shapes[key])
+        for i, c in enumerate(kids):
+            trail.append(i)
+            walk(c)
+            trail.pop()
+
+    for i, r in enumerate(roots):
+        trail[:] = [i]
+        walk(r)
+    return tilings.Patch(mode, tuple(roots), depth)

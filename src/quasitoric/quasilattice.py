@@ -93,14 +93,19 @@ def combination(q: Quasilattice, coefficients: Sequence[int]) -> KVector:
     return acc
 
 
-def relation_lattice(q: Quasilattice) -> IntMatrix:
+def relation_lattice(q: Quasilattice) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (HNF rows) of {a in Z^m : sum a_i g_i = 0}.
 
     Being the integer kernel of an integer matrix, the lattice is saturated.
+    It is computed once per quasilattice and kept on it, so the rows are tuples.
     """
-    zero = FieldElem(0, 0, q.field_d)
-    mat, _ = split_target(KVector([zero] * q.dim, d=q.field_d), q.generators, q.dim)
-    return integer_kernel(mat, q.m)
+    rows = q.__dict__.get("_relations")
+    if rows is None:
+        zero = FieldElem(0, 0, q.field_d)
+        mat, _ = split_target(KVector([zero] * q.dim, d=q.field_d), q.generators, q.dim)
+        rows = tuple(map(tuple, integer_kernel(mat, q.m)))
+        object.__setattr__(q, "_relations", rows)   # a cache, not a field
+    return rows
 
 
 def z_rank(q: Quasilattice) -> int:

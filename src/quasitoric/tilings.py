@@ -23,6 +23,7 @@ cancellation, and that every tile is congruent to its kind's shape.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
@@ -115,13 +116,14 @@ class Cyclo:
         return self.abs_squared().real()
 
     def to_complex(self) -> complex:
-        import cmath
-        z = cmath.exp(2j * cmath.pi / 5)
-        return sum(a * z ** k for k, a in enumerate(self.c))
+        return sum(a * zk for a, zk in zip(self.c, _ZETA_POWERS))
 
     def __repr__(self) -> str:
         return f"Cyclo{self.c}"
 
+
+_ZETA = cmath.exp(2j * cmath.pi / 5)
+_ZETA_POWERS = tuple(_ZETA ** k for k in range(4))   # floats of the basis 1, z, z^2, z^3
 
 PHI_C = Cyclo(0, 0, -1, -1)       # the golden ratio as a ring element
 ONE_C = Cyclo(1)
@@ -150,27 +152,20 @@ class HalfTile:
     kind: Kind
     vertices: tuple[Cyclo, Cyclo, Cyclo]
 
-    @property
-    def chirality(self) -> Literal["left", "right"]:
-        s = cross_sign(*self.vertices)
-        if s == 0:
-            raise ValueError("degenerate half-tile")
-        return "right" if s > 0 else "left"
-
-    def mirrored(self) -> "HalfTile":
-        a, b1, b2 = self.vertices
-        return HalfTile(self.kind, (a, b2, b1))
-
     def check_shape(self, mode: Mode) -> None:
-        """Isosceles with the base/leg ratio dictated by (mode, kind).
+        """Isosceles with nonzero legs and the base/leg ratio dictated by
+        (mode, kind).
 
         Squared lengths are compared in the ring: 1, z, z^2, z^3 is a
-        Z-basis, so equal values have equal coefficient tuples.
+        Z-basis, so equal values have equal coefficient tuples.  Only the
+        differences b1 - a and b2 - a are read.
         """
         a, b1, b2 = self.vertices
         l1 = (b1 - a).abs_squared()
         if l1.c != (b2 - a).abs_squared().c:
             raise ValueError(f"{self.kind} half-tile is not isosceles")
+        if l1.is_zero():
+            raise ValueError(f"degenerate {self.kind} half-tile: zero-length legs")
         base = (b2 - b1).abs_squared()
         if (mode == "p2") == (self.kind == "acute"):
             ok = (base * PHI2_C).c == l1.c    # golden triangle: legs = phi * base
@@ -204,16 +199,13 @@ class Patch:
 
     def leaves(self) -> list[HalfTile]:
         out: list[HalfTile] = []
-
-        def walk(node: Node) -> None:
+        stack = list(reversed(self.roots))
+        while stack:
+            node = stack.pop()
             if node.children:
-                for ch in node.children:
-                    walk(ch)
+                stack.extend(reversed(node.children))
             else:
                 out.append(node.tile)
-
-        for root in self.roots:
-            walk(root)
         return out
 
     def count_by_kind(self) -> dict[Kind, int]:
@@ -446,19 +438,14 @@ def verify_patch(patch: Patch) -> None:
 
 
 def _phi_power_inverse(x: FieldElem) -> Cyclo:
-    """Ring inverse of x when x is a power of phi; raises otherwise."""
+    """Ring inverse of x when x is phi^k, 0 <= k <= 64; raises otherwise."""
     from .field import phi as _phi
-    golden = _phi()
-    inv = ONE_C
-    phi_inv = PHI_C - ONE_C
-    guard = 0
-    while x != 1:
-        x = x / golden
-        inv = inv * phi_inv
-        guard += 1
-        if guard > 64:
-            raise ValueError("edge norm is not a phi power")
-    return inv
+    golden, inv, phi_inv = _phi(), ONE_C, PHI_C - ONE_C
+    for _ in range(65):
+        if x == 1:
+            return inv
+        x, inv = x / golden, inv * phi_inv
+    raise ValueError("edge norm is not a phi power")
 
 
 def mirror_mate(tile: HalfTile, mode: Mode) -> HalfTile:
@@ -517,38 +504,26 @@ def pair_tiles(patch: Patch, mode: Optional[Mode] = None) -> PairReport:
     """
     mode = mode or patch.mode
     leaves = patch.leaves()
-    paired: dict[int, tuple[int, WholeTile]] = {}
+    index: dict[tuple, list[int]] = {}    # keys arrive in the order of their first leaf
+    for i, t in enumerate(leaves):
+        edge = t.glue_edge(mode)
+        index.setdefault((t.kind, edge if mode == "p2" else frozenset(edge)), []).append(i)
     tiles: list[WholeTile] = []
-    if mode == "p2":
-        index: dict[tuple, list[int]] = {}
-        for i, t in enumerate(leaves):
-            index.setdefault((t.kind, t.glue_edge(mode)), []).append(i)
-        for (kind, _edge), group in sorted(index.items(),
-                                           key=lambda kv: min(kv[1])):
-            if len(group) == 2:
-                i, j = group
-                a, b1, b2 = leaves[i].vertices
-                other_b1 = leaves[j].vertices[1]
-                tiles.append(WholeTile(_WHOLE_NAME[(mode, kind)],
-                                       (a, b1, b2, other_b1), (i, j)))
-                paired[i] = paired[j] = (len(tiles) - 1, tiles[-1])
-    else:
-        index = {}
-        for i, t in enumerate(leaves):
-            a, b1, b2 = t.vertices
-            key = (t.kind, frozenset((b1, b2)))
-            index.setdefault(key, []).append(i)
-        for (kind, _edge), group in sorted(index.items(),
-                                           key=lambda kv: min(kv[1])):
-            if len(group) == 2:
-                i, j = group
-                a, b1, b2 = leaves[i].vertices
-                a2 = leaves[j].vertices[0]
-                if a2 != b1 + b2 - a:
-                    continue  # same diagonal but not the mirror position
-                tiles.append(WholeTile(_WHOLE_NAME[(mode, kind)],
-                                       (a, b1, a2, b2), (i, j)))
-                paired[i] = paired[j] = (len(tiles) - 1, tiles[-1])
+    paired: set[int] = set()
+    for (kind, _edge), group in index.items():
+        if len(group) != 2:
+            continue
+        i, j = group
+        a, b1, b2 = leaves[i].vertices
+        mate = leaves[j].vertices
+        if mode == "p2":
+            corners = (a, b1, b2, mate[1])
+        elif mate[0] == b1 + b2 - a:
+            corners = (a, b1, mate[0], b2)
+        else:
+            continue  # same diagonal but not the mirror position
+        tiles.append(WholeTile(_WHOLE_NAME[(mode, kind)], corners, (i, j)))
+        paired.update(group)
     leftovers = tuple(i for i in range(len(leaves)) if i not in paired)
     return PairReport(tuple(tiles), leftovers)
 
@@ -616,20 +591,24 @@ def render_svg(source: "Patch | Sequence[WholeTile]", digits: int = 12,
     if isinstance(source, Patch):
         depth, source = source.depth, source.leaves()
     scale = ((1 + 5 ** 0.5) / 2) ** (-depth)
-    polys = [(t.kind, [v.to_complex() * scale for v in t.vertices]) for t in source]
+    drawn: dict[tuple[int, ...], tuple[str, complex]] = {}   # coefficients -> ("x,y", point)
     body = []
-    points: list[complex] = []
-    for kind, pts in polys:
-        points.extend(pts)
-        attr = " ".join(f"{_fmt(p.real, digits)},{_fmt(p.imag, digits)}" for p in pts)
-        body.append(f'<polygon points="{attr}" fill="{_FILL[kind]}" '
+    for t in source:
+        texts = []
+        for v in t.vertices:
+            hit = drawn.get(v.c)
+            if hit is None:
+                p = v.to_complex() * scale
+                hit = drawn[v.c] = (f"{_fmt(p.real, digits)},{_fmt(p.imag, digits)}", p)
+            texts.append(hit[0])
+        body.append(f'<polygon points="{" ".join(texts)}" fill="{_FILL[t.kind]}" '
                     'stroke="#222222" stroke-width="0.01"/>')
-    return _svg_document(body, points, digits)
+    # repeated vertices cannot move a min or a max, so the distinct ones size the view
+    return _svg_document(body, [p for _, p in drawn.values()], digits)
 
 
 def render_star(count: int = 5, digits: int = 12) -> str:
     """The roots-of-unity star: `count` arrows from the origin."""
-    import cmath
     body = []
     points = [0j]
     for k in range(count):

@@ -319,3 +319,53 @@ def test_deeply_nested_document_is_a_parse_error(command, text, tmp_path, capsys
     path.write_text(text)
     code, _, err = run(capsys, command, "--input", str(path))
     assert (code, err) == (1, "parse error: $: document nested too deeply\n")
+
+
+def _one_tile_patch(vertices):
+    return {"schema_version": 1, "mode": "p2", "depth": 0,
+            "roots": [{"kind": "acute", "vertices": vertices, "children": []}]}
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([[0, 0, 0, 0], [7, 0, 0, 0], [0, 1, 0, 0]], "acute half-tile is not isosceles"),
+    ([[0, 0, 0, 0]] * 3, "degenerate acute half-tile: zero-length legs"),
+])
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_render_refuses_tiles_of_no_penrose_shape(vertices, message, flags, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_one_tile_patch(vertices)))
+    svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", "--input", str(path), "--output", str(svg), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"parse error: $.roots[0].vertices: {message}\n"
+    assert not svg.exists()
+
+
+def test_render_names_the_path_of_a_deep_bad_tile(tmp_path, capsys):
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    node = doc["roots"][0]["children"][1]["children"][0]
+    a, b1, b2 = node["vertices"]
+    node["vertices"] = [a, b2, [2 * x - y for x, y in zip(b1, a)]]   # one leg doubled
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "render", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: $.roots[0].children[1].children[0].vertices: ")
+    assert "half-tile is not isosceles" in err
+
+
+@pytest.mark.parametrize("argv", [["validate", "--example", "cube", "--format", "json"],
+                                  ["tile", "--type", "p2", "--no-such-flag"],
+                                  ["render", "--star", "five"],
+                                  ["no-such-command"]])
+def test_usage_errors_exit_1(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["render", "--help"]])
+def test_help_exits_0(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")

@@ -37,7 +37,7 @@ def test_nonsimple_examples_flagged(name):
 def test_pentagon_file_relations():
     q = load_quasilattice("pentagon")
     assert q.m == 5 and q.dim == 2
-    assert relation_lattice(q) == [[1, 1, 1, 1, 1]]
+    assert relation_lattice(q) == ((1, 1, 1, 1, 1),)
     assert not is_discrete(q)
 
 

@@ -92,6 +92,20 @@ GOLDEN = {
         (0, "4ad85919a7e1085b208c0c635ee4e9134cc7a632f9f3c86a16c89e6e4cb80646"),
     "tile --type p2 --steps 8":
         (0, "cf5e479bf38ad733782d581892b5a597755fd4af4501f1b17388090a45be4f9b"),
+    "render --star":
+        (0, "51b2d4a4bedd8570c3faed0a519a0603aa3643021141a698a23d7fe0f05cf10a"),
+}
+
+# `render --input <the patch written by the tile command>` plus extra flags
+GOLDEN_RENDER = {
+    ("tile --type p2 --steps 6", ""):
+        "ffc8a7f036cdf7fc65cca0eeb91ca02bb6f047fa1f528e24045aa6b7010a6638",
+    ("tile --type p2 --steps 6", "--paired"):
+        "2446461a8f6bbc6c34199d70eae25d68348ed8c86c3475604e4633121209fa07",
+    ("tile --type p3 --seed obtuse --steps 5 --doubled", ""):
+        "ebb1953b53edc6743bea27924ba01133bb3b1562bdf289ccd743c1f08841a734",
+    ("tile --type p3 --seed obtuse --steps 5 --doubled", "--paired"):
+        "f15639527f1a361ceab4facfa2be61497c32edd14788f29daf3256710f76f555",
 }
 
 
@@ -111,3 +125,12 @@ def test_golden_output(command, capsys):
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("tile, flags", sorted(GOLDEN_RENDER))
+def test_golden_render(tile, flags, tmp_path, capsys):
+    patch = tmp_path / "patch.json"
+    assert main(tile.split() + ["--output", str(patch)]) == 0
+    code = main(["render", "--input", str(patch)] + flags.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, GOLDEN_RENDER[tile, flags])

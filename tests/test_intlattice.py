@@ -140,7 +140,7 @@ def test_int_solve_absence_confirmed_by_box_search():
 def test_quotient_invariants_examples():
     # Z^2 / <(3,0),(0,2)> is cyclic of order 6; Z^2 has no relations
     z2 = load_quasilattice("integer_lattice_2")
-    assert relation_lattice(z2) == []
+    assert relation_lattice(z2) == ()
     inv = quotient_by(z2, [[3, 0], [0, 2]])
     assert inv == AbelianGroupInvariants(0, (6,))
     # coset enumeration oracle: (1,1) has order 6 = group order
@@ -150,7 +150,7 @@ def test_quotient_invariants_examples():
 
     assert quotient_by(z2, [[1, 0], [0, 1]]).is_trivial()
     pentagon = load_quasilattice("pentagon")
-    assert relation_lattice(pentagon) == [[1, 1, 1, 1, 1]]
+    assert relation_lattice(pentagon) == ((1, 1, 1, 1, 1),)
     inv = quotient_by(pentagon, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
     assert inv.free_rank == 2 and inv.torsion == ()
 
@@ -159,7 +159,7 @@ def test_quotient_invariants_unimodular_invariance():
     rng = random.Random(43)
     base = [[2, 4, 0], [0, 6, 3]]
     z3 = load_quasilattice("integer_lattice_3")
-    assert relation_lattice(z3) == []
+    assert relation_lattice(z3) == ()
     ref = quotient_by(z3, base)
     for _ in range(50):
         rows = [r[:] for r in base]

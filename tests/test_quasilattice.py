@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasitoric import intlattice, quasilattice
 from quasitoric.field import FieldElem, KVector, fe, phi
 from quasitoric.intlattice import snf
 from quasitoric.quasilattice import (Quasilattice, combination, is_discrete,
@@ -49,20 +50,36 @@ def test_certificate_resubstitutes():
 def test_relation_lattice_pentagon():
     q = Quasilattice(2, pentagon_roots())
     rel = relation_lattice(q)
-    assert rel == [[1, 1, 1, 1, 1]]
+    assert rel == ((1, 1, 1, 1, 1),)
     assert snf(rel).invariant_factors() == [1]     # saturated
     assert z_rank(q) == 4
 
 
+
+def test_relation_lattice_is_computed_once_per_quasilattice(monkeypatch):
+    q = Quasilattice(2, pentagon_roots())
+    first = relation_lattice(q)
+    calls = []
+    real_snf = intlattice.snf
+    counted = lambda *a, **k: calls.append(a) or real_snf(*a, **k)   # noqa: E731
+    monkeypatch.setattr(intlattice, "snf", counted)                 # integer_kernel's
+    monkeypatch.setattr(quasilattice, "snf", counted)               # quotient_by's
+    assert relation_lattice(q) is first and calls == []      # kept on q
+    assert quotient_by(q, [[0, 1, 0, 0, 0]]).free_rank == 3 and len(calls) == 1   # its own SNF
+    calls.clear()
+    again = Quasilattice(2, pentagon_roots())                 # an equal but new quasilattice
+    assert relation_lattice(again) == first and len(calls) == 1
+    assert q == again and hash(q) == hash(again)              # the cache is not a field
+
 def test_relation_lattice_integer_lattice():
     q = Quasilattice(2, (kv5(1, 0), kv5(0, 1)))
-    assert relation_lattice(q) == []
+    assert relation_lattice(q) == ()
 
 
 def test_relation_lattice_z_phi():
     p = phi()
     q = Quasilattice(1, (KVector([fe(1, 0, 5)]), KVector([p])))
-    assert relation_lattice(q) == []
+    assert relation_lattice(q) == ()
     # bounded search confirms no integer relation
     for a in range(-10, 11):
         for b in range(-10, 11):

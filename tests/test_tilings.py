@@ -115,6 +115,9 @@ def test_check_shape_rejects_wrong_shapes(mode, kind):
     # isosceles with a 72 degree apex: neither ratio
     with pytest.raises(ValueError, match="bad shape"):
         HalfTile(kind, (Cyclo(), Cyclo(1), Cyclo.zeta(1))).check_shape(mode)
+    # all three vertices at one point: 0 == 0 * phi^2, but no tile
+    with pytest.raises(ValueError, match="degenerate .* zero-length legs"):
+        HalfTile(kind, (b1, b1, b1)).check_shape(mode)
 
 
 def test_deflate_checks_every_created_child(monkeypatch):
