@@ -11,8 +11,8 @@ Commands
     report     presentation plus charts in one document
 
 Exit codes: 0 success, 2 mathematically meaningful refusal (nonsimple
-polytope, degenerate cut) or a patch over the tile budget, 1 anything else
-(usage errors included).
+polytope, degenerate cut) or work over a budget (tile leaves, vertex
+candidates), 1 anything else (usage errors included).
 Refusals are structured JSON on stderr.  QTK_PRECISION sets SVG float digits
 (default 12).
 """
@@ -30,7 +30,7 @@ from .construction import (DegenerateTripleError, NonsimpleTripleError,
                            cut_and_present, emit_report)
 from .field import KVector, parse_field_elem
 from .jsonio import ParseError
-from .polytope import DegenerateCutError
+from .polytope import DegenerateCutError, VertexBudgetError
 
 
 def _svg_digits() -> int:
@@ -142,12 +142,11 @@ def cmd_tile(args: argparse.Namespace) -> int:
     if args.doubled:
         patch = tilings.mirror_double(patch)
     patch = tilings.deflate(patch, args.steps)
-    doc = jsonio.encode_patch(patch)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            jsonio.write_canonical(doc, fh.write)
+            jsonio.write_patch(patch, fh.write)
     else:
-        jsonio.write_canonical(doc, sys.stdout.write)
+        jsonio.write_patch(patch, sys.stdout.write)
     return 0
 
 
@@ -239,6 +238,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _refuse("nonsimple-polytope", {"kind": exc.classification.kind})
     except DegenerateCutError as exc:
         return _refuse("degenerate-cut", {"detail": str(exc)})
+    except VertexBudgetError as exc:
+        candidates, budget = exc.args
+        return _refuse("vertex-budget", {"budget": budget, "candidates": candidates})
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1

@@ -32,24 +32,18 @@ class ParseError(ValueError):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_FLUSH_PARTS = 4096   # pieces gathered before one call of `write`
 
 
-def write_canonical(doc: Any, write: Callable[[str], Any]) -> None:
-    """Send `json.dumps(doc, sort_keys=True, indent=2) + "\\n"` to `write`.
+def dumps_canonical(doc: Any) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`.
 
-    The same bytes, built without the pure-Python encoder that `indent`
-    forces on `json.dumps` and without holding the whole text: strings go
-    through the C string encoder and the text leaves in joined pieces of about
-    `_FLUSH_PARTS` fragments.
+    The same text, built without the pure-Python encoder that `indent`
+    forces on `json.dumps`: strings go through the C string encoder.
     """
     parts: list[str] = []
     put = parts.append
 
     def emit(o: Any, nl: str) -> None:   # nl: newline plus the current indent
-        if len(parts) >= _FLUSH_PARTS:
-            write("".join(parts))
-            parts.clear()
         if isinstance(o, str):
             put(_encode_str(o))
         elif isinstance(o, int) and not isinstance(o, bool):
@@ -83,7 +77,7 @@ def write_canonical(doc: Any, write: Callable[[str], Any]) -> None:
 
     emit(doc, "\n")
     put("\n")
-    write("".join(parts))
+    return "".join(parts)
 
 
 def _scalar_key(k: Any) -> str:
@@ -91,12 +85,6 @@ def _scalar_key(k: Any) -> str:
     if k is None or isinstance(k, (int, float)):
         return json.dumps(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def dumps_canonical(doc: Any) -> str:
-    parts: list[str] = []
-    write_canonical(doc, parts.append)
-    return "".join(parts)
 
 
 # -- field elements ----------------------------------------------------------
@@ -330,6 +318,56 @@ def encode_patch(p: tilings.Patch) -> dict:
             "roots": [_encode_node(r) for r in p.roots]}
 
 
+_FLUSH_PARTS = 4096   # pieces gathered before one call of `write`
+# a patch document without roots and a leaf at indent "\n", as `%` templates
+_PATCH_HEAD, _PATCH_END = dumps_canonical(
+    {"depth": "%d", "mode": "%s", "roots": [], "schema_version": SCHEMA_VERSION}
+).replace('"%d"', "%d").split("[]")
+_LEAF = dumps_canonical({"children": [], "kind": "%s", "vertices": [["%d"] * 4] * 3})
+_LEAF = _LEAF.rstrip("\n").replace('"%d"', "%d")
+
+
+def write_patch(p: tilings.Patch, write: Callable[[str], Any]) -> None:
+    """Send `dumps_canonical(encode_patch(p))` to `write` in pieces of about
+    `_FLUSH_PARTS` fragments.  Nodes at one indent differ only in their kind
+    (a plain name), their 12 coordinates and their children, so each is one or
+    two `%` formats of templates made once per indent from `_LEAF`.
+    """
+    forms: dict[str, tuple[str, str, str]] = {}   # node indent -> (opening, leaf, tail)
+    parts: list[str] = [_PATCH_HEAD % (p.depth, p.mode)]
+    put = parts.append
+
+    def emit(nodes: Sequence[tilings.Node], nl: str) -> None:   # nl: the holder's indent
+        if len(parts) >= _FLUSH_PARTS:
+            write("".join(parts))
+            parts.clear()
+        if not nodes:
+            put("[]")
+            return
+        at = nl + "    "
+        if at not in forms:
+            opening, tail = _LEAF.replace("\n", at).split("[]")
+            forms[at] = opening, "%s" + opening + "[]" + tail, tail
+        opening, leaf, tail = forms[at]
+        sep = "[" + at
+        for node in nodes:
+            tile, kids = node.tile, node.children
+            a, b1, b2 = tile.vertices
+            values = (tile.kind,) + a.c + b1.c + b2.c
+            if kids:
+                put(sep + opening)
+                emit(kids, at)
+                put(tail % values)
+            else:
+                put(leaf % ((sep,) + values))
+            sep = "," + at
+        put(nl + "  ]")
+
+    emit(p.roots, "\n")
+    put(_PATCH_END)
+    write("".join(parts))
+
+
 def _is_point(v: Any) -> bool:
     return (isinstance(v, list) and len(v) == 4
             and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is int)
@@ -403,7 +441,7 @@ def parse_patch(doc: Any) -> tilings.Patch:
     if not isinstance(roots, list) or not roots:
         raise ParseError("$.roots", "expected a non-empty list")
     roots = _rehook(roots, patch_hook())
-    shapes: dict[tuple, Optional[str]] = {}   # shape key -> fault message or None
+    shapes: set[tuple] = set()                # tile_key of every tile that passed
     trail: list[int] = []                     # root index, then child indices
 
     def fail(suffix: str, message: str) -> NoReturn:
@@ -421,17 +459,13 @@ def parse_patch(doc: Any) -> tilings.Patch:
             fail("", f"{'leaf' if not kids else 'node with children'} at tree "
                      f"depth {level}, but every leaf must sit at depth {depth}")
         if decoded:
-            tile = node.tile
-            (a0, a1, a2, a3), (p0, p1, p2, p3), (q0, q1, q2, q3) = (v.c for v in tile.vertices)
-            key = (tile.kind, p0 - a0, p1 - a1, p2 - a2, p3 - a3,
-                   q0 - a0, q1 - a1, q2 - a2, q3 - a3)
+            key = tilings.tile_key(node.tile)
             if key not in shapes:
                 try:
-                    shapes[key] = tile.check_shape(mode)
+                    node.tile.check_shape(mode)
                 except ValueError as exc:
-                    shapes[key] = str(exc)
-            if shapes[key] is not None:
-                fail(".vertices", shapes[key])
+                    fail(".vertices", str(exc))
+                shapes.add(key)
         for i, c in enumerate(kids):
             trail.append(i)
             walk(c)

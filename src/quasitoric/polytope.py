@@ -8,6 +8,7 @@ all feasibility and degeneracy decisions are bit-exact (no tolerances).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,6 +17,13 @@ from .field import FieldElem, KMatrix, KVector
 
 class DegenerateCutError(ValueError):
     """The cutting hyperplane does not meet the interior of the polytope."""
+
+
+MAX_VERTEX_CANDIDATES = 50_000   # n- and (n-1)-subsets of facets tried; about 7 s of work
+
+
+class VertexBudgetError(ValueError):
+    """More than MAX_VERTEX_CANDIDATES facet subsets; args: (candidates, budget)."""
 
 
 @dataclass(frozen=True)
@@ -81,12 +89,18 @@ class PolytopeH:
         return tuple(j for j, h in enumerate(self.halfspaces)
                      if h.slack(point).is_zero())
 
+    def _check_budget(self) -> None:   # before `vertices` and `is_bounded` try any subset
+        candidates = math.comb(self.d, self.dim) + math.comb(self.d, self.dim - 1)
+        if candidates > MAX_VERTEX_CANDIDATES:
+            raise VertexBudgetError(candidates, MAX_VERTEX_CANDIDATES)
+
     # -- vertex enumeration ----------------------------------------------------
 
     def vertices(self) -> tuple[VertexData, ...]:
         """All vertices, deduplicated exactly and sorted by coordinates."""
         if self._vertices is not None:
             return self._vertices
+        self._check_budget()
         n = self.dim
         seen: dict[KVector, VertexData] = {}
         for subset in itertools.combinations(range(self.d), n):
@@ -107,6 +121,7 @@ class PolytopeH:
 
     def is_bounded(self) -> bool:
         """Recession cone == {0}, decided by enumerating candidate extreme rays."""
+        self._check_budget()
         normals = KMatrix.from_vectors([h.normal for h in self.halfspaces])
         if normals.rank() < self.dim:
             return False  # the cone contains a line

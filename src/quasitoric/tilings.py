@@ -17,9 +17,9 @@ multiplying through by phi once per level: a vertex stored at tree depth k
 means (stored value) * phi^(-k).  Inflation removes tree levels, so it is an
 exact inverse of deflation.
 
-The substitution vertex maps are not taken on faith: `verify_patch` checks at
-every node that the children tile the parent exactly, by directed-edge
-cancellation, and that every tile is congruent to its kind's shape.
+The substitution vertex maps are not taken on faith: `deflate` checks every
+child's shape, and `verify_patch` checks at every node that the children tile
+the parent exactly, by directed-edge cancellation, and every tile's shape.
 """
 from __future__ import annotations
 
@@ -138,7 +138,7 @@ def cross_sign(o: Cyclo, u: Cyclo, v: Cyclo) -> int:
     return val.sign()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)   # not frozen: a frozen __init__ costs 1 us
 class HalfTile:
     """A Robinson half-tile: apex vertex first, then the two base vertices.
 
@@ -179,7 +179,7 @@ class HalfTile:
         return (a, b2) if mode == "p2" else (b1, b2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Node:
     tile: HalfTile
     children: tuple["Node", ...] = ()
@@ -290,11 +290,14 @@ def _children_p3(t: HalfTile) -> tuple[HalfTile, ...]:
     )
 
 
-def _subdivide(mode: Mode, t: HalfTile) -> tuple[HalfTile, ...]:
-    children = _children_p2(t) if mode == "p2" else _children_p3(t)
-    for c in children:
-        c.check_shape(mode)
-    return children
+def tile_key(tile: HalfTile) -> tuple:
+    """(kind, b1 - a, b2 - a) as 9 values: all `check_shape` reads, and (as
+    `_lift` is Z-linear) all the substitution reads up to translation."""
+    a, b1, b2 = tile.vertices
+    a0, a1, a2, a3 = a.c
+    p0, p1, p2, p3 = b1.c
+    q0, q1, q2, q3 = b2.c
+    return (tile.kind, p0 - a0, p1 - a1, p2 - a2, p3 - a3, q0 - a0, q1 - a1, q2 - a2, q3 - a3)
 
 
 MAX_TILE_LEAVES = 250_000   # `tile` budget: acute seed doubled, depth 12 (242 786) fits
@@ -316,19 +319,35 @@ def leaf_count(kind: Kind, roots: int, steps: int) -> int:
 
 
 def deflate(patch: Patch, steps: int) -> Patch:
-    """Apply the substitution `steps` times to every leaf."""
+    """Apply the substitution `steps` times to every leaf.
+
+    The first tile of each `tile_key` is subdivided and its children's shapes
+    checked; kept as offsets from the lifted apex, they serve every later
+    tile with that key, in a table local to this call.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    roots = patch.roots
-    for _ in range(steps):
-        roots = tuple(_extend(patch.mode, r) for r in roots)
-    return Patch(patch.mode, roots, patch.depth + steps)
+    mode = patch.mode
+    subdivide = _children_p2 if mode == "p2" else _children_p3
+    rules: dict[tuple, tuple] = {}   # tile_key -> ((kind, vertex offsets), ...) per child
 
+    def grow(node: Node, levels: int) -> Node:   # levels: substitutions left for its leaves
+        tile, kids = node.tile, node.children
+        if kids:
+            return Node(tile, tuple(grow(c, levels) for c in kids))
+        if not levels:
+            return node
+        la, key = _lift(tile.vertices[0]), tile_key(tile)
+        rule = rules.get(key)
+        if rule is None:
+            made = subdivide(tile)
+            for c in made:
+                c.check_shape(mode)
+            rule = rules[key] = tuple((c.kind, tuple(v - la for v in c.vertices)) for c in made)
+        return Node(tile, tuple(grow(Node(HalfTile(kind, (la + o1, la + o2, la + o3))), levels - 1)
+                                for kind, (o1, o2, o3) in rule))
 
-def _extend(mode: Mode, node: Node) -> Node:
-    if node.children:
-        return Node(node.tile, tuple(_extend(mode, c) for c in node.children))
-    return Node(node.tile, tuple(Node(t) for t in _subdivide(mode, node.tile)))
+    return Patch(mode, tuple(grow(r, steps) for r in patch.roots), patch.depth + steps)
 
 
 class InflateError(ValueError):
@@ -417,19 +436,27 @@ def children_tile_parent(mode: Mode, parent: HalfTile,
 
 
 def verify_patch(patch: Patch) -> None:
-    """Check the tiling invariant at every internal node; raises on failure."""
-
-    def walk(node: Node) -> None:
-        node.tile.check_shape(patch.mode)
-        if node.children:
-            if not children_tile_parent(patch.mode, node.tile,
-                                        [c.tile for c in node.children]):
+    """Check every tile's shape and that every node's children tile it;
+    raises on failure.  Both checks are translation invariant, so they run
+    once per `tile_key` plus children's kinds and offsets from the lifted apex.
+    """
+    mode = patch.mode
+    passed: set[tuple] = set()
+    stack = list(patch.roots)
+    while stack:
+        node = stack.pop()
+        tile, kids = node.tile, node.children
+        key = tile_key(tile)
+        if kids:
+            la = _lift(tile.vertices[0])
+            key += tuple((c.tile.kind,) + tuple((v - la).c for v in c.tile.vertices)
+                         for c in kids)
+        if key not in passed:
+            tile.check_shape(mode)
+            if kids and not children_tile_parent(mode, tile, [c.tile for c in kids]):
                 raise AssertionError("children do not tile their parent")
-            for c in node.children:
-                walk(c)
-
-    for root in patch.roots:
-        walk(root)
+            passed.add(key)
+        stack.extend(kids)
 
 
 # ---------------------------------------------------------------------------

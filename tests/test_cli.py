@@ -1,12 +1,17 @@
+import itertools
 import json
+import math
 import re
 
 import pytest
 
-from quasitoric import jsonio, tilings
+from quasitoric import jsonio, polytope, tilings
 from quasitoric.cli import main
-from quasitoric.construction import build_presentation
+from quasitoric.construction import Triple, build_presentation
 from quasitoric.examples import EXAMPLES, get_example
+from quasitoric.field import KMatrix, KVector, fe
+from quasitoric.polytope import HalfSpace, PolytopeH
+from quasitoric.quasilattice import Quasilattice
 from quasitoric.tilings import deflate, seed
 
 
@@ -369,3 +374,40 @@ def test_help_exits_0(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.startswith("usage: ")
+
+
+def _many_facet_triple(count):
+    """A 3-D triple with `count` facets <mu, X> >= -1, X primitive in {-2..2}^3."""
+    normals = [x for x in itertools.product(range(-2, 3), repeat=3)
+               if any(x) and math.gcd(*x) == 1][:count]
+    lattice = Quasilattice(3, tuple(KVector([fe(int(i == j)) for j in range(3)])
+                                    for i in range(3)))
+    polytope = PolytopeH(3, [HalfSpace(KVector([fe(c) for c in x]), fe(-1)) for x in normals])
+    return Triple(polytope, lattice, tuple(normals))
+
+
+def test_vertex_budget_refuses_before_any_solve(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "triple.json"
+    doc.write_text(jsonio.dumps_canonical(jsonio.encode_triple(_many_facet_triple(70))))
+    calls = []
+    for name in ("solve", "kernel_basis"):   # per subset in `vertices` and `is_bounded`
+        method = getattr(KMatrix, name)
+        monkeypatch.setattr(KMatrix, name, lambda *a, m=method: calls.append(a) or m(*a))
+    for command in ("validate", "present", "classify", "report"):
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert (code, out) == (2, "")
+        # C(70, 3) + C(70, 2) candidate subsets
+        assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 57155,
+                                   "budget": polytope.MAX_VERTEX_CANDIDATES}
+    assert calls == []
+
+
+def test_vertex_budget_boundary(capsys, monkeypatch):
+    # the icosahedron: C(20, 3) + C(20, 2) = 1330 candidates
+    monkeypatch.setattr(polytope, "MAX_VERTEX_CANDIDATES", 1330)
+    code, out, _ = run(capsys, "validate", "--example", "icosahedron")
+    assert code == 0 and json.loads(out)["vertex_count"] == 12
+    monkeypatch.setattr(polytope, "MAX_VERTEX_CANDIDATES", 1329)
+    code, out, err = run(capsys, "validate", "--example", "icosahedron")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 1330, "budget": 1329}

@@ -92,6 +92,10 @@ GOLDEN = {
         (0, "4ad85919a7e1085b208c0c635ee4e9134cc7a632f9f3c86a16c89e6e4cb80646"),
     "tile --type p2 --steps 8":
         (0, "cf5e479bf38ad733782d581892b5a597755fd4af4501f1b17388090a45be4f9b"),
+    "tile --type p2 --seed obtuse --steps 7 --doubled":
+        (0, "fe3de1584baf744d646e765916f80614a295d50df17cbbb4598a456877c7e32a"),
+    "tile --type p3 --steps 8":
+        (0, "233bdfa36b750dca20773866e0941c2bc6772c3d7290ef3d4b56faf5ed81c743"),
     "render --star":
         (0, "51b2d4a4bedd8570c3faed0a519a0603aa3643021141a698a23d7fe0f05cf10a"),
 }

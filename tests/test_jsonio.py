@@ -10,7 +10,7 @@ import pytest
 
 from quasitoric import jsonio
 from quasitoric.cli import main
-from quasitoric.tilings import HalfTile, deflate, seed
+from quasitoric.tilings import HalfTile, Patch, deflate, mirror_double, seed
 
 CHARS = "az Z09\"\\/\x00\x01\x1f\x7f\n\t\r\b\féü中 \ud800😀"
 FLOATS = (0.0, -0.0, 0.1, -2.5, 1e300, 1e-300, float("inf"), float("-inf"), float("nan"))
@@ -73,18 +73,17 @@ def test_unsupported_values_raise_like_json():
             jsonio.dumps_canonical(doc)
 
 
-def test_write_canonical_pieces_join_to_dumps():
-    doc = jsonio.encode_patch(deflate(seed("p3", "acute"), 6))
+@pytest.mark.parametrize("flush", [1, 5, jsonio._FLUSH_PARTS])
+def test_write_patch_pieces_join_to_dumps(flush, monkeypatch):
+    monkeypatch.setattr(jsonio, "_FLUSH_PARTS", flush)
+    patch = deflate(mirror_double(seed("p3", "acute")), 8)
     pieces = []
-    jsonio.write_canonical(doc, pieces.append)
+    jsonio.write_patch(patch, pieces.append)
     assert len(pieces) > 1                       # streamed, not one string
-    assert "".join(pieces) == jsonio.dumps_canonical(doc) == _reference(doc)
-    rng = random.Random(7)
-    for _ in range(50):
-        doc = _doc(rng, 6)
-        pieces = []
-        jsonio.write_canonical(doc, pieces.append)
-        assert "".join(pieces) == _reference(doc)
+    assert "".join(pieces) == _reference(jsonio.encode_patch(patch))
+    pieces, empty = [], Patch("p2", (), 3)
+    jsonio.write_patch(empty, pieces.append)
+    assert "".join(pieces) == _reference(jsonio.encode_patch(empty))
 
 
 SEEDS = [(mode, kind, doubled) for mode in ("p2", "p3") for kind in ("acute", "obtuse")
@@ -110,6 +109,20 @@ def _vertices(patch):
         out.extend(node.tile.vertices)
         stack.extend(node.children)
     return out
+
+
+@pytest.mark.parametrize("mode, kind, doubled", SEEDS)
+def test_tile_writes_the_encoded_patch(mode, kind, doubled, tmp_path):
+    start = seed(mode, kind)
+    if doubled:
+        start = mirror_double(start)
+    out = tmp_path / "patch.json"
+    for depth in range(7):
+        expected = jsonio.dumps_canonical(jsonio.encode_patch(deflate(start, depth)))
+        assert _tile_text(mode, kind, doubled, depth) == expected
+        assert main(["tile", "--type", mode, "--seed", kind, "--steps", str(depth),
+                     "--output", str(out)] + (["--doubled"] if doubled else [])) == 0
+        assert out.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("mode, kind, doubled", SEEDS)

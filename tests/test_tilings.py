@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from quasitoric import tilings
 from quasitoric.field import fe, phi
 from quasitoric.tilings import (Cyclo, HalfTile, InflateError, MAX_TILE_LEAVES,
-                                PHI_C, ROT36, boundary_edges,
+                                Node, PHI_C, Patch, ROT36, boundary_edges,
                                 children_tile_parent, deflate, inflate,
                                 leaf_count, mirror_double, mirror_mate, pair_tiles,
-                                render_star, render_svg, seed, tile_triple,
+                                render_star, render_svg, seed, tile_key, tile_triple,
                                 verify_patch, _lift, _on_segment)
 
 
@@ -120,22 +121,64 @@ def test_check_shape_rejects_wrong_shapes(mode, kind):
         HalfTile(kind, (b1, b1, b1)).check_shape(mode)
 
 
-def test_deflate_checks_every_created_child(monkeypatch):
-    calls = []
+def _nodes(node):
+    yield node
+    for c in node.children:
+        yield from _nodes(c)
+
+
+def test_deflate_checks_the_translation_class_of_every_created_child(monkeypatch):
+    checked = set()
     check = HalfTile.check_shape
     monkeypatch.setattr(HalfTile, "check_shape",
-                        lambda tile, mode: calls.append(tile) or check(tile, mode))
-
-    def nodes(node):
-        return 1 + sum(nodes(c) for c in node.children)
-
+                        lambda tile, mode: checked.add(tile_key(tile)) or check(tile, mode))
     for mode in ("p2", "p3"):
         for kind in ("acute", "obtuse"):
             start = mirror_double(seed(mode, kind))
-            calls.clear()
+            checked.clear()
             patch = deflate(start, 4)
-            created = sum(nodes(r) for r in patch.roots) - len(patch.roots)
-            assert len(calls) == created > 0
+            created = {tile_key(n.tile) for r in patch.roots for n in _nodes(r)
+                       if n is not r}
+            assert created and created <= checked
+
+
+def test_deflate_refuses_a_rule_with_a_wrong_shaped_child(monkeypatch):
+    rule = tilings._children_p2
+
+    def bad(t):   # the first child of every obtuse tile gets one vertex moved
+        kids = rule(t)
+        if t.kind == "acute":
+            return kids
+        a, b1, b2 = kids[0].vertices
+        return (HalfTile(kids[0].kind, (a, b1 + Cyclo(1), b2)),) + kids[1:]
+
+    monkeypatch.setattr(tilings, "_children_p2", bad)
+    deflate(seed("p2", "acute"), 1)     # no obtuse tile is subdivided yet
+    with pytest.raises(ValueError, match="p2 obtuse|not isosceles"):
+        deflate(seed("p2", "acute"), 3)
+
+
+def _deflate_per_tile(patch, steps):
+    """The substitution applied to every leaf on its own, level by level."""
+    rule = tilings._children_p2 if patch.mode == "p2" else tilings._children_p3
+
+    def extend(node):
+        if node.children:
+            return Node(node.tile, tuple(extend(c) for c in node.children))
+        return Node(node.tile, tuple(Node(t) for t in rule(node.tile)))
+
+    roots = patch.roots
+    for _ in range(steps):
+        roots = tuple(extend(r) for r in roots)
+    return Patch(patch.mode, roots, patch.depth + steps)
+
+
+def test_deflate_equals_per_tile_subdivision():
+    for mode in ("p2", "p3"):
+        for kind in ("acute", "obtuse"):
+            start = mirror_double(seed(mode, kind))
+            assert deflate(start, 5) == _deflate_per_tile(start, 5)
+            assert deflate(deflate(start, 2), 3) == _deflate_per_tile(start, 5)
 
 
 def test_leaf_count_predicts_deflate():
@@ -185,6 +228,105 @@ def test_children_tile_parent_at_every_node():
     for mode in ("p2", "p3"):
         for kind in ("acute", "obtuse"):
             verify_patch(deflate(seed(mode, kind), 4))
+
+
+def _per_node_verdict(patch):
+    """True when every node passes `verify_patch`'s checks, node by node."""
+    def ok(node):
+        try:
+            node.tile.check_shape(patch.mode)
+        except ValueError:
+            return False
+        if node.children and not children_tile_parent(
+                patch.mode, node.tile, [c.tile for c in node.children]):
+            return False
+        return all(ok(c) for c in node.children)
+    return all(ok(r) for r in patch.roots)
+
+
+def _verdict(patch):
+    try:
+        verify_patch(patch)
+    except (ValueError, AssertionError):
+        return False
+    return True
+
+
+def _replaced(node, path, tile):
+    """`node` with the tile of its descendant at child-index `path` replaced."""
+    if not path:
+        return Node(tile, node.children)
+    kids = list(node.children)
+    kids[path[0]] = _replaced(kids[path[0]], path[1:], tile)
+    return Node(node.tile, tuple(kids))
+
+
+def _paths(node, path=()):
+    yield path, node
+    for i, c in enumerate(node.children):
+        yield from _paths(c, path + (i,))
+
+
+def test_verify_patch_catches_a_child_corrupted_deep_down():
+    with pytest.raises(ValueError, match="bad shape"):   # no children to tile it: shape only
+        verify_patch(Patch("p2", (Node(HalfTile("acute", (Cyclo(), Cyclo(1), Cyclo.zeta(1)))),), 0))
+    for mode in ("p2", "p3"):
+        patch = deflate(seed(mode, "acute"), 4)
+        for path, node in _paths(patch.roots[0]):
+            if len(path) < 2:
+                continue
+            a, b1, b2 = node.tile.vertices
+            moved = HalfTile(node.tile.kind, (a, b1 + Cyclo(0, 1), b2))
+            shifted = HalfTile(node.tile.kind, tuple(v + Cyclo(1) for v in node.tile.vertices))
+            for tile in (moved, shifted):
+                bad = Patch(mode, (_replaced(patch.roots[0], path, tile),), patch.depth)
+                with pytest.raises((ValueError, AssertionError)):
+                    verify_patch(bad)
+
+
+def test_verify_patch_agrees_with_a_per_node_walk_on_mutations():
+    rng = random.Random(20261018)
+    deltas = (Cyclo(), Cyclo(1), Cyclo(0, -1), Cyclo(0, 0, 1), PHI_C, -ROT36)
+    seen = set()
+    for mode in ("p2", "p3"):
+        for kind in ("acute", "obtuse"):
+            patch = deflate(seed(mode, kind), 5)
+            nodes = list(_paths(patch.roots[0]))
+            for _ in range(8):
+                path, node = rng.choice(nodes)
+                verts = list(node.tile.vertices)
+                if rng.random() < 0.25:     # mirror: swap the base vertices
+                    verts[1], verts[2] = verts[2], verts[1]
+                else:
+                    i = rng.randrange(3)
+                    verts[i] = verts[i] + rng.choice(deltas)
+                tile = HalfTile(node.tile.kind, tuple(verts))
+                mutated = Patch(mode, (_replaced(patch.roots[0], path, tile),), patch.depth)
+                verdict = _verdict(mutated)
+                assert verdict == _per_node_verdict(mutated)
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_verify_patch_checks_each_translation_class_once(monkeypatch):
+    calls = []
+    check = tilings.children_tile_parent
+    monkeypatch.setattr(tilings, "children_tile_parent",
+                        lambda *args: calls.append(args) or check(*args))
+    for mode in ("p2", "p3"):
+        patch = deflate(mirror_double(seed(mode, "acute")), 6)
+        classes = set()
+        for r in patch.roots:
+            for node in _nodes(r):
+                if node.children:   # parent lifted, everything moved by its lifted apex
+                    base = _lift(node.tile.vertices[0])
+                    parent = tuple((_lift(v) - base).c for v in node.tile.vertices)
+                    classes.add((node.tile.kind, parent) + tuple(
+                        (c.tile.kind, tuple((v - base).c for v in c.tile.vertices))
+                        for c in node.children))
+        calls.clear()
+        verify_patch(patch)
+        assert 0 < len(calls) <= len(classes) <= 40
 
 
 def test_edge_cancellation_rejects_corruption():
