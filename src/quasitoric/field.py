@@ -90,13 +90,6 @@ class FieldElem:
 
     # -- construction helpers -------------------------------------------------
 
-    def lift(self, value: _RatLike | "FieldElem") -> "FieldElem":
-        """Coerce an int/Fraction (or compatible element) into this field."""
-        o = self._coerce(value)
-        if o is None:
-            raise TypeError(f"cannot lift {value!r} into Q(sqrt({self._d}))")
-        return o
-
     def zero(self) -> "FieldElem":
         return _make(0, 0, 1, self._d)
 
@@ -385,11 +378,8 @@ class KMatrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_vectors(cls, vecs: Sequence[KVector], ncols: Optional[int] = None,
-                     d: Optional[int] = None) -> "KMatrix":
-        if vecs:
-            return cls([v.entries for v in vecs])
-        return cls([], ncols=ncols, d=d)
+    def from_vectors(cls, vecs: Sequence[KVector]) -> "KMatrix":
+        return cls([v.entries for v in vecs])
 
     @classmethod
     def from_columns(cls, cols: Sequence[KVector]) -> "KMatrix":

@@ -390,9 +390,10 @@ def test_vertex_budget_refuses_before_any_solve(tmp_path, capsys, monkeypatch):
     doc = tmp_path / "triple.json"
     doc.write_text(jsonio.dumps_canonical(jsonio.encode_triple(_many_facet_triple(70))))
     calls = []
-    for name in ("solve", "kernel_basis"):   # per subset in `vertices` and `is_bounded`
-        method = getattr(KMatrix, name)
-        monkeypatch.setattr(KMatrix, name, lambda *a, m=method: calls.append(a) or m(*a))
+    for owner, name in ((polytope, "_kernel_line"),   # per subset in `vertices` and `is_bounded`
+                        (KMatrix, "solve"), (KMatrix, "kernel_basis")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, m=method, **k: calls.append(a) or m(*a, **k))
     for command in ("validate", "present", "classify", "report"):
         code, out, err = run(capsys, command, "--input", str(doc))
         assert (code, out) == (2, "")

@@ -15,7 +15,9 @@ from quasitoric.examples import (cube, dodecahedron, get_example, kite,
 from quasitoric.field import FieldElem, KMatrix, KVector, fe, phi
 from quasitoric.intlattice import hnf_basis, int_solve
 from quasitoric.polytope import HalfSpace, PolytopeH
-from quasitoric.quasilattice import Quasilattice, combination, split_target
+from quasitoric.quasilattice import Quasilattice, split_target
+
+from halves import SIMPLE_EXAMPLES, seeded_halves
 
 
 def kv5(*xs):
@@ -140,29 +142,6 @@ def test_kite_chart_finiteness_matches_rational_angles():
         finite = c.group_invariants.is_finite()
         rational_angles = all(x.b == 0 for g in c.group_gens for x in g)
         assert finite == rational_angles
-
-
-SIMPLE_EXAMPLES = ("cube", "dodecahedron", "kite", "oblate_rhombohedron",
-                   "orbisphere", "prolate_rhombohedron", "quasisphere", "sphere",
-                   "tetrahedron", "thick_rhombus", "thin_rhombus")
-
-
-def seeded_halves(t, rng, tries=3):
-    """Both halves of `tries` cuts of t: normal a small integer combination of
-    the generators, level strictly between two consecutive vertex values."""
-    halves = []
-    points = [v.point for v in t.polytope.vertices()]
-    while len(halves) < 2 * tries:
-        cert = [rng.randint(-2, 2) for _ in range(t.lattice.m)]
-        normal = combination(t.lattice, cert)
-        values = sorted(set(normal.dot(x) for x in points))
-        if len(values) < 2:
-            continue
-        k = rng.randrange(len(values) - 1)
-        level = (values[k] + values[k + 1]) / 2
-        t_plus, t_minus, _pp, _pm = cut_and_present(t, normal, level, cert)
-        halves += [t_plus, t_minus]
-    return halves
 
 
 def test_chart_generators_against_integer_membership():

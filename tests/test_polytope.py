@@ -1,8 +1,16 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
-from quasitoric.field import KVector, fe, phi
+from quasitoric import polytope
+from quasitoric.examples import EXAMPLES, get_example
+from quasitoric.field import KMatrix, KVector, fe, phi
 from quasitoric.polytope import (DegenerateCutError, HalfSpace, PolytopeH,
-                                 cut, cut_with_maps)
+                                 VertexData, cut, cut_with_maps)
+
+from halves import seeded_cuts, seeded_halves
 
 
 def kv(*xs, d=0):
@@ -144,9 +152,179 @@ def test_degenerate_cut_rejected():
         cut(unit_square(), kv(1, 0), fe(5))      # misses entirely
 
 
+def test_cut_refuses_an_unbounded_polyhedron():
+    # its facets x >= 0 and y >= 0 touch one vertex each, so trimming would drop them
+    p = PolytopeH(2, [HalfSpace(kv(1, 0), fe(0)), HalfSpace(kv(0, 1), fe(0)),
+                      HalfSpace(kv(1, 1), fe(1))])
+    with pytest.raises(ValueError, match="bounded full-dimensional"):
+        cut(p, kv(1, -1), fe(0))
+
+
 def test_cut_through_vertices_allowed():
     # diagonal through two opposite corners of the square
     plus, minus = cut(unit_square(), kv(1, -1), fe(0))
     assert len(plus.vertices()) == 3 and len(minus.vertices()) == 3
     shared = {v.point for v in plus.vertices()} & {v.point for v in minus.vertices()}
     assert len(shared) == 2
+
+
+# -- the integer enumeration against a per-subset field reference ----------------
+
+
+def reference_vertices(p):
+    """Every n-subset solved by `KMatrix.solve`, kept when its point satisfies
+    every half-space; active facets from `HalfSpace.slack`."""
+    found = {}
+    for subset in itertools.combinations(range(p.d), p.dim):
+        a = KMatrix.from_vectors([p.halfspaces[j].normal for j in subset])
+        sol = a.solve(KVector([p.halfspaces[j].level for j in subset], d=p.field_d))
+        if sol is None or sol[1]:
+            continue
+        slacks = [h.slack(sol[0]).sign() for h in p.halfspaces]
+        if min(slacks) >= 0:
+            found[sol[0]] = VertexData(sol[0], tuple(j for j, s in enumerate(slacks) if s == 0))
+    return tuple(sorted(found.values(), key=lambda v: tuple(v.point)))
+
+
+def reference_bounded(p):
+    """No ray: no kernel line of an (n-1)-subset on which every normal is >= 0."""
+    if KMatrix.from_vectors([h.normal for h in p.halfspaces]).rank() < p.dim:
+        return False
+    for subset in itertools.combinations(range(p.d), p.dim - 1):
+        rays = KMatrix([p.halfspaces[j].normal.entries for j in subset],
+                       ncols=p.dim, d=p.field_d).kernel_basis()
+        if len(rays) == 1 and any(all(h.normal.dot(y).sign() >= 0 for h in p.halfspaces)
+                                  for y in (rays[0], -rays[0])):
+            return False
+    return True
+
+
+def assert_matches_reference(p):
+    fresh = PolytopeH(p.dim, p.halfspaces)
+    expected = reference_vertices(p)
+    assert p.vertices() == expected          # `p` may have inherited its vertices
+    assert fresh.vertices() == expected
+    assert fresh.is_bounded() == reference_bounded(p)
+    return expected
+
+
+def test_vertices_match_reference_on_examples():
+    for name in EXAMPLES:
+        assert_matches_reference(get_example(name).polytope)
+
+
+def test_vertices_match_reference_on_cut_halves():
+    rng = random.Random(707)
+    for name in ("cube", "dodecahedron", "kite", "tetrahedron", "thin_rhombus",
+                 "prolate_rhombohedron", "quasisphere"):
+        for half in seeded_halves(get_example(name), rng, tries=2):
+            assert_matches_reference(half.polytope)
+
+
+def _random_elem(rng, d):
+    a = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+    b = Fraction(rng.randint(-2, 2), rng.choice((1, 2, 5))) if d else 0
+    return fe(a, b, d)
+
+
+def _random_gap(rng, d):
+    x = _random_elem(rng, d)
+    return -x if x.sign() < 0 else x
+
+
+def random_polyhedron(rng, d, n):
+    """Half-spaces around a feasible point: some through it (nonsimple
+    vertices), some duplicated up to a positive scale, some with a parallel
+    opposite partner (rank-deficient subsets); few of them leave it unbounded."""
+    point = KVector([_random_elem(rng, d) for _ in range(n)])
+    hs, count = [], rng.randint(n - 1, n + 5)
+    while len(hs) < count:
+        normal = KVector([_random_elem(rng, d) for _ in range(n)])
+        if normal.is_zero():
+            continue
+        level = normal.dot(point)
+        if rng.random() < 0.7:
+            level = level - _random_gap(rng, d)
+        hs.append(HalfSpace(normal, level))
+        if rng.random() < 0.15:
+            c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            hs.append(HalfSpace(normal.scale(c), level * c))
+        if rng.random() < 0.2:
+            hs.append(HalfSpace(-normal, -level - _random_gap(rng, d)))
+    rng.shuffle(hs)
+    return PolytopeH(n, hs)
+
+
+@pytest.mark.parametrize("d", [0, 2, 3, 5])
+def test_vertices_match_reference_on_random_polyhedra(d):
+    rng = random.Random(f"polyhedra:{d}")
+    bounded = nonsimple = duplicated = opposite = 0
+    for _ in range(40):
+        p = random_polyhedron(rng, d, rng.choice((2, 3)))
+        verts = assert_matches_reference(p)
+        normals = {h.normal for h in p.halfspaces}
+        bounded += p.is_bounded()
+        nonsimple += any(len(v.active_facets) > p.dim for v in verts)
+        duplicated += len(normals) < p.d
+        opposite += any(-x in normals for x in normals)
+    assert 0 < bounded < 40 and nonsimple and duplicated and opposite
+
+
+def test_elimination_divides_exactly_and_reads_the_kernel():
+    rng = random.Random(11)
+    for d in (0, 2, 5):
+        for k in (1, 2, 3):
+            rows = [[(rng.randint(-9, 9), rng.randint(-9, 9) if d else 0)
+                     for _ in range(k + 1)] for _ in range(k)]
+            y = polytope._kernel_line(rows, d)
+            if y is None:
+                continue
+            assert any(v != (0, 0) for v in y)
+            for row in rows:
+                assert polytope._dot_sign(row, y, d) == 0
+    # two proportional rows leave a two-dimensional kernel
+    assert polytope._kernel_line([[(1, 0), (2, 0), (3, 0)], [(2, 0), (4, 0), (6, 0)]], 0) is None
+    # a singular leading block refuses only when the last column must be free
+    rows = [[(1, 0), (1, 0), (0, 0)], [(1, 0), (1, 0), (1, 0)]]
+    assert polytope._kernel_line(rows, 0, free_last=True) is None
+    assert polytope._kernel_line(rows, 0) == [(-1, 0), (1, 0), (0, 0)]
+
+
+def test_enumeration_never_calls_the_field_solvers(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("field solver called")
+    monkeypatch.setattr(KMatrix, "solve", refuse)
+    monkeypatch.setattr(KMatrix, "kernel_basis", refuse)
+    p = PolytopeH(3, get_example("icosahedron").polytope.halfspaces)
+    assert len(p.vertices()) == 12 and p.is_bounded()
+
+
+# -- cut halves against their parent: Euler and cut additivity -------------------
+
+
+def _edges(verts, n):
+    """Vertex pairs sharing n - 1 facets: the edges of a simple polytope."""
+    return [(u, w) for u, w in itertools.combinations(verts, 2)
+            if len(set(u.active_facets) & set(w.active_facets)) == n - 1]
+
+
+def test_cut_halves_satisfy_euler_and_cut_additivity():
+    rng = random.Random(2024)
+    for name in ("cube", "dodecahedron", "tetrahedron", "prolate_rhombohedron",
+                 "oblate_rhombohedron"):
+        parent = get_example(name).polytope
+        parent_edges = _edges(parent.vertices(), 3)
+        for normal, level, *halves in seeded_cuts(get_example(name), rng):
+            for half, side in zip(halves, (1, -1)):
+                p = half.polytope
+                verts = p.vertices()
+                edges = _edges(verts, 3)
+                assert len(verts) - len(edges) + p.d == 2, name
+                assert all(sum(v in e for e in edges) == 3 for v in verts)
+                expected = {v.point for v in parent.vertices()
+                            if side * (normal.dot(v.point) - level).sign() >= 0}
+                for u, w in parent_edges:
+                    su, sw = normal.dot(u.point) - level, normal.dot(w.point) - level
+                    if su.sign() * sw.sign() < 0:
+                        expected.add(u.point + (w.point - u.point).scale(su / (su - sw)))
+                assert {v.point for v in verts} == expected, name
