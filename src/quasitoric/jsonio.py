@@ -368,32 +368,24 @@ def write_patch(p: tilings.Patch, write: Callable[[str], Any]) -> None:
     write("".join(parts))
 
 
-def _is_point(v: Any) -> bool:
-    return (isinstance(v, list) and len(v) == 4
-            and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is int)
-
-
 def _node_fault(obj: Any) -> Optional[tuple[str, str]]:
     """(path suffix, message) saying why `obj` is no node object, or None.
 
     Only the node's own fields are read; each child is judged on its own.
+    The one test of nodeness, for `patch_hook` and `parse_patch` alike.
     """
     if not isinstance(obj, dict) or obj.get("kind") not in ("acute", "obtuse"):
         return "", "expected a node with kind acute|obtuse"
     verts = obj.get("vertices")
-    if not isinstance(verts, list) or len(verts) != 3 or not all(map(_is_point, verts)):
+    if not isinstance(verts, list) or len(verts) != 3:
         return ".vertices", "expected three 4-integer vectors"
+    for v in verts:
+        if not (isinstance(v, list) and len(v) == 4
+                and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is int):
+            return ".vertices", "expected three 4-integer vectors"
     if not isinstance(obj.get("children", []), list):
         return ".children", "expected a list"
     return None
-
-
-class _Points(dict):
-    """One `Cyclo` per distinct coefficient tuple."""
-
-    def __missing__(self, key: tuple[int, ...]) -> tilings.Cyclo:
-        p = self[key] = tilings.Cyclo(*key)
-        return p
 
 
 def patch_hook() -> Callable[[dict], Any]:
@@ -403,14 +395,20 @@ def patch_hook() -> Callable[[dict], Any]:
     points shared through a table of this document only; any other object
     stays a dict for `parse_patch` to diagnose.
     """
-    points, Node, HalfTile = _Points(), tilings.Node, tilings.HalfTile
+    points: dict[tuple[int, ...], tilings.Cyclo] = {}
+    Node, HalfTile, enter = tilings.Node, tilings.HalfTile, tilings.enter_point
 
     def hook(obj: dict) -> Any:
-        kids = obj.get("children", ())
-        if _node_fault(obj) is not None or not all(type(c) is Node for c in kids):
+        if _node_fault(obj) is not None:
             return obj
-        a, b1, b2 = obj["vertices"]
-        tile = HalfTile(obj["kind"], (points[tuple(a)], points[tuple(b1)], points[tuple(b2)]))
+        kids = obj.get("children", ())
+        for c in kids:
+            if type(c) is not Node:
+                return obj
+        a, b1, b2 = map(tuple, obj["vertices"])
+        tile = HalfTile(obj["kind"], (points.get(a) or enter(points, a),
+                                      points.get(b1) or enter(points, b1),
+                                      points.get(b2) or enter(points, b2)))
         return Node(tile, tuple(kids))
 
     return hook

@@ -125,6 +125,7 @@ class PolytopeH:
         self.dim = dim
         self.halfspaces = tuple(halfspaces)
         self._vertices: Optional[tuple[VertexData, ...]] = None
+        self._irredundant = False   # True when proved by drop_redundant
         self._validation: Optional[ValidationReport] = None
 
     @property
@@ -223,8 +224,8 @@ class PolytopeH:
             return ValidationReport(True, False, False, False, 0)
         diffs = [v.point - verts[0].point for v in verts[1:]]
         full_dim = bool(diffs) and KMatrix.from_vectors(diffs).rank() == self.dim
-        irredundant = all(self._facet_contact_dim(j) == self.dim - 1
-                          for j in range(self.d))
+        irredundant = self._irredundant or all(self._facet_contact_dim(j) == self.dim - 1
+                                               for j in range(self.d))
         simple = all(len(v.active_facets) == self.dim for v in verts)
         return ValidationReport(bounded, full_dim, irredundant, simple, len(verts))
 
@@ -235,11 +236,12 @@ class PolytopeH:
 
         Returns the trimmed polytope and the kept original facet indices.  For a
         bounded full-dimensional polytope (as a cut half of one is) the trimmed
-        one is the same set and inherits these vertices, facets renumbered.
+        one is the same set, irredundant, with these vertices, facets renumbered.
         """
         keep = [j for j in range(self.d)
                 if self._facet_contact_dim(j) == self.dim - 1]
         trimmed = PolytopeH(self.dim, [self.halfspaces[j] for j in keep])
+        trimmed._irredundant = True
         renumber = {j: i for i, j in enumerate(keep)}
         trimmed._vertices = tuple(
             VertexData(v.point, tuple(renumber[j] for j in v.active_facets if j in renumber))

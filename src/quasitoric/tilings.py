@@ -17,9 +17,9 @@ multiplying through by phi once per level: a vertex stored at tree depth k
 means (stored value) * phi^(-k).  Inflation removes tree levels, so it is an
 exact inverse of deflation.
 
-The substitution vertex maps are not taken on faith: `deflate` checks every
-child's shape, and `verify_patch` checks at every node that the children tile
-the parent exactly, by directed-edge cancellation, and every tile's shape.
+The substitution vertex maps are not taken on faith: once per translation
+class, `deflate` checks the children's shapes, and `verify_patch` the shapes
+and that the children tile the parent exactly, by directed-edge cancellation.
 """
 from __future__ import annotations
 
@@ -322,32 +322,50 @@ def deflate(patch: Patch, steps: int) -> Patch:
     """Apply the substitution `steps` times to every leaf.
 
     The first tile of each `tile_key` is subdivided and its children's shapes
-    checked; kept as offsets from the lifted apex, they serve every later
-    tile with that key, in a table local to this call.
+    checked; kept as integer offsets from the lifted apex, they serve every
+    later tile with that key.  Rules and points are tabled once per call.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    mode = patch.mode
-    subdivide = _children_p2 if mode == "p2" else _children_p3
-    rules: dict[tuple, tuple] = {}   # tile_key -> ((kind, vertex offsets), ...) per child
+    tables = (patch.mode, {}, {})   # mode, rules by tile_key, points by coefficients
+    return Patch(patch.mode, tuple(_grow(r.tile, r.children, steps, tables) for r in patch.roots),
+                 patch.depth + steps)
 
-    def grow(node: Node, levels: int) -> Node:   # levels: substitutions left for its leaves
-        tile, kids = node.tile, node.children
+
+def _grow(tile: HalfTile, kids: Optional[tuple[Node, ...]], levels: int, tables: tuple) -> Node:
+    """`deflate`'s Node of `tile` over input children `kids` (None for a new
+    tile), leaves substituted `levels` times, one `Cyclo` per point."""
+    mode, rules, points = tables
+    if kids is not None:   # an input tile: its points enter the table
+        tile = HalfTile(tile.kind, tuple(points.setdefault(v.c, v) for v in tile.vertices))
         if kids:
-            return Node(tile, tuple(grow(c, levels) for c in kids))
-        if not levels:
-            return node
-        la, key = _lift(tile.vertices[0]), tile_key(tile)
-        rule = rules.get(key)
-        if rule is None:
-            made = subdivide(tile)
-            for c in made:
-                c.check_shape(mode)
-            rule = rules[key] = tuple((c.kind, tuple(v - la for v in c.vertices)) for c in made)
-        return Node(tile, tuple(grow(Node(HalfTile(kind, (la + o1, la + o2, la + o3))), levels - 1)
-                                for kind, (o1, o2, o3) in rule))
+            return Node(tile, tuple(_grow(k.tile, k.children, levels, tables) for k in kids))
+    if not levels:
+        return Node(tile)
+    la, key = _lift(tile.vertices[0]).c, tile_key(tile)
+    rule = rules.get(key)
+    if rule is None:
+        made = (_children_p2 if mode == "p2" else _children_p3)(tile)
+        for c in made:
+            c.check_shape(mode)
+        rule = rules[key] = tuple((c.kind, tuple(tuple(x - y for x, y in zip(v.c, la))
+                                                 for v in c.vertices)) for c in made)
+    l0, l1, l2, l3 = la
+    grown = []
+    for kind, offsets in rule:
+        verts = []
+        for o0, o1, o2, o3 in offsets:
+            c = (l0 + o0, l1 + o1, l2 + o2, l3 + o3)
+            verts.append(points.get(c) or enter_point(points, c))
+        grown.append(_grow(HalfTile(kind, tuple(verts)), None, levels - 1, tables))
+    return Node(tile, tuple(grown))
 
-    return Patch(mode, tuple(grow(r, steps) for r in patch.roots), patch.depth + steps)
+
+def enter_point(points: dict[tuple[int, ...], Cyclo], c: tuple[int, ...]) -> Cyclo:
+    """A new `Cyclo` of coefficients `c`, entered in `points` under its own tuple."""
+    p = Cyclo(*c)
+    points[p.c] = p
+    return p
 
 
 class InflateError(ValueError):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -412,3 +413,50 @@ def test_vertex_budget_boundary(capsys, monkeypatch):
     code, out, err = run(capsys, "validate", "--example", "icosahedron")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 1330, "budget": 1329}
+
+
+def test_cut_halves_inherit_their_facet_contact_dimensions(capsys, monkeypatch):
+    calls = []
+    contact = PolytopeH._facet_contact_dim
+    monkeypatch.setattr(PolytopeH, "_facet_contact_dim",
+                        lambda p, j: calls.append(j) or contact(p, j))
+    code, out, _ = run(capsys, "cut", "--example", "cube", "--normal", "1,0,0", "--level", "1/2")
+    assert code == 0 and json.loads(out)["plus"]["triple"]
+    # 6 for the cube, 7 + 7 for the untrimmed halves; none for the trimmed ones
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "--example", "cube"], 0),
+    (["validate", "--input", "{doc}"], 1),             # parse error
+    (["validate", "--example", "cube", "--no-such-flag"], 1),   # usage error
+    (["classify", "--example", "octahedron"], 2),       # refusal
+    (["tile", "--type", "p2", "--steps", "1"], None),   # the command raises
+])
+def test_main_leaves_the_collector_as_it_found_it(argv, code, enabled, tmp_path, capsys,
+                                                  monkeypatch):
+    doc = tmp_path / "bad.json"
+    doc.write_text("{}")
+    argv = [a.format(doc=doc) for a in argv]
+    during = []
+
+    def deflate_raising(*args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    if code is None:
+        monkeypatch.setattr(tilings, "deflate", deflate_raising)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+        assert during == ([False] if code is None else [])   # paused while it ran
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()

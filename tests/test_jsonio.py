@@ -153,6 +153,19 @@ def _fault_bool(doc):
     _leaf(doc)["vertices"][1][2] = True
 
 
+def _fault_float(doc):
+    _leaf(doc)["vertices"][1][2] = 1.0
+
+
+def _fault_bool_twin(doc):
+    # [1, 1, 0, -1] decodes first in $.roots[0].children[0].children[0]
+    doc["roots"][0]["children"][1]["children"][2]["vertices"][1][0] = True
+
+
+def _fault_non_node_child(doc):
+    doc["roots"][0]["children"][1]["children"][0] = 1
+
+
 def _fault_short_vertex(doc):
     _leaf(doc)["vertices"][0] = [0, 0, 0]
 
@@ -183,6 +196,10 @@ LEAF = "$.roots[0].children[1].children[0]"
 
 @pytest.mark.parametrize("fault, path, message", [
     (_fault_bool, LEAF + ".vertices", "expected three 4-integer vectors"),
+    (_fault_float, LEAF + ".vertices", "expected three 4-integer vectors"),
+    (_fault_bool_twin, "$.roots[0].children[1].children[2].vertices",
+     "expected three 4-integer vectors"),
+    (_fault_non_node_child, LEAF, "expected a node with kind acute|obtuse"),
     (_fault_short_vertex, LEAF + ".vertices", "expected three 4-integer vectors"),
     (_fault_kind, "$.roots[0].children[1]", "expected a node with kind acute|obtuse"),
     (_fault_children, LEAF + ".children", "expected a list"),

@@ -181,6 +181,14 @@ def test_deflate_equals_per_tile_subdivision():
             assert deflate(deflate(start, 2), 3) == _deflate_per_tile(start, 5)
 
 
+def test_deflate_holds_one_cyclo_per_point():
+    for mode in ("p2", "p3"):
+        start = mirror_double(seed(mode))
+        for patch in (deflate(start, 6), deflate(deflate(start, 2), 4)):
+            verts = [v for r in patch.roots for n in _nodes(r) for v in n.tile.vertices]
+            assert len({id(v) for v in verts}) == len({v.c for v in verts})
+
+
 def test_leaf_count_predicts_deflate():
     for mode in ("p2", "p3"):
         for kind in ("acute", "obtuse"):
