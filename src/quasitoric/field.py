@@ -289,6 +289,58 @@ def parse_field_elem(text: str, d: int) -> FieldElem:
 # ---------------------------------------------------------------------------
 
 
+_Pair = tuple[int, int]   # p + q*sqrt(D) in Z[sqrt D]
+
+
+def _integer_rows(rows: Iterable[Sequence[FieldElem]]) -> list[list[_Pair]]:
+    """Each row over Z[sqrt D], times the positive lcm of its denominators."""
+    out = []
+    for row in rows:
+        m = lcm(*(x._r for x in row))
+        out.append([(x._p * (m // x._r), x._q * (m // x._r)) for x in row])
+    return out
+
+
+def _eliminate(rows: list[list[_Pair]], d: int) -> tuple[list[list[_Pair]], list[int], _Pair]:
+    """Fraction-free Gauss-Jordan elimination over Z[sqrt d] (Bareiss 1968; Cohen,
+    A Course in Computational Algebraic Number Theory, 2.2).
+
+    Returns (rows, pivot columns, delta), delta being the last pivot (1 if none).
+    Pivot row i, with pivot column c_i, reads delta*x[c_i] + sum of m[i][f]*x[f]
+    over the columns f holding no pivot; its entries at the other pivot columns
+    are stale and must not be read.  Each division is exact, as every entry is a
+    minor.  Stops once every row has a pivot.
+    """
+    m, k, n = [list(r) for r in rows], len(rows), len(rows[0]) if rows else 0
+    pc, pe, norm, pivots, free = 1, 0, 1, [], []
+    for c in range(n):
+        r = len(pivots)
+        if r == k:
+            break
+        pr = next((i for i in range(r, k) if m[i][c] != (0, 0)), None)
+        if pr is None:
+            free.append(c)
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        row, (a, b) = m[r], m[r][c]
+        cols = free + list(range(c + 1, n))
+        for mi in m:
+            if mi is row:
+                continue
+            e, f = mi[c]
+            for j in cols:
+                (x, y), (s, t) = mi[j], row[j]
+                x, y = a * x - e * s + d * (b * y - f * t), a * y + b * x - e * t - f * s
+                # over the previous pivot pc + pe*sqrt d: times its conjugate, over its norm
+                (x, rx), (y, ry) = divmod(x * pc - y * pe * d, norm), divmod(y * pc - x * pe, norm)
+                if rx or ry:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                mi[j] = x, y
+        pc, pe, norm = a, b, a * a - b * b * d
+        pivots.append(c)
+    return m, pivots, (pc, pe)
+
+
 class KVector:
     """Immutable dense vector with entries in one quadratic field."""
 
@@ -348,9 +400,10 @@ class KVector:
 class KMatrix:
     """Immutable dense matrix over one quadratic field.
 
-    Solving and rank use fraction-free-enough Gauss-Jordan elimination with
-    exact division; the reduced echelon form (leftmost pivots, pivots = 1) is
-    the canonical form used throughout the package.
+    Rank, echelon form, kernel, solving and inverse all read one fraction-free
+    elimination of the rows over Z[sqrt D] (`_eliminate`); the reduced echelon
+    form (leftmost pivots, pivots = 1) is the canonical form used throughout
+    the package.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "d")
@@ -418,33 +471,21 @@ class KMatrix:
     # -- elimination ----------------------------------------------------------
 
     def _rref(self) -> tuple[list[list[FieldElem]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
-        m = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return m, pivots
+        """Pivot rows of the reduced row echelon form, and their pivot columns."""
+        d = self.d
+        m, pivots, (c, e) = _eliminate(_integer_rows(self.rows), d)
+        zero, one, norm = _make(0, 0, 1, d), _make(1, 0, 1, d), c * c - e * e * d
+        stale = set(pivots)   # other rows' pivot columns hold no current entry
+        # a free column's x + y*sqrt d over delta = c + e*sqrt d: times its conjugate, over norm
+        return [[one if j == p else zero if j in stale
+                 else _make(x * c - y * e * d, y * c - x * e, norm, d)
+                 for j, (x, y) in enumerate(m[i])] for i, p in enumerate(pivots)], pivots
 
     def rref(self) -> "KMatrix":
-        m, pivots = self._rref()
-        return KMatrix(m[: len(pivots)], ncols=self.ncols, d=self.d)
+        return KMatrix(self._rref()[0], ncols=self.ncols, d=self.d)
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(_eliminate(_integer_rows(self.rows), self.d)[1])
 
     def kernel_basis(self) -> list[KVector]:
         """Canonical basis of the right kernel, in reduced echelon form."""
@@ -454,8 +495,6 @@ class KMatrix:
         """Canonical kernel basis read off an rref of this matrix, or of this
         matrix augmented on the right with a column holding no pivot."""
         free = [c for c in range(self.ncols) if c not in pivots]
-        if not free:
-            return []
         zero, one = _make(0, 0, 1, self.d), _make(1, 0, 1, self.d)
         raw = []
         for f in free:
@@ -500,6 +539,3 @@ class KMatrix:
         if pivots != list(range(n)):
             raise ZeroDivisionError("inverse of a singular matrix")
         return KMatrix([r[n:] for r in m], ncols=n, d=self.d)
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.rows for x in r)

@@ -41,43 +41,44 @@ def dumps_canonical(doc: Any) -> str:
     forces on `json.dumps`: strings go through the C string encoder.
     """
     parts: list[str] = []
-    put = parts.append
-
-    def emit(o: Any, nl: str) -> None:   # nl: newline plus the current indent
-        if isinstance(o, str):
-            put(_encode_str(o))
-        elif isinstance(o, int) and not isinstance(o, bool):
-            put(int.__repr__(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                put("[]")
-                return
-            inner = nl + "  "
-            sep = "[" + inner
-            for x in o:
-                put(sep)
-                emit(x, inner)
-                sep = "," + inner
-            put(nl + "]")
-        elif isinstance(o, dict):
-            if not o:
-                put("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for k, v in sorted(o.items()):
-                put(sep)
-                put(_encode_str(k if isinstance(k, str) else _scalar_key(k)))
-                put(": ")
-                emit(v, inner)
-                sep = "," + inner
-            put(nl + "}")
-        else:
-            put(json.dumps(o))
-
-    emit(doc, "\n")
-    put("\n")
+    _dump(doc, "\n", parts.append)
+    parts.append("\n")
     return "".join(parts)
+
+
+def _dump(o: Any, nl: str, put: Callable[[str], Any]) -> None:
+    """Put the text of `o` at indent `nl` (newline plus the current indent).
+    A module-level recursion, so no closure cycle keeps the text alive."""
+    if isinstance(o, str):
+        put(_encode_str(o))
+    elif isinstance(o, int) and not isinstance(o, bool):
+        put(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in o:
+            put(sep)
+            _dump(x, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            put(sep)
+            put(_encode_str(k if isinstance(k, str) else _scalar_key(k)))
+            put(": ")
+            _dump(v, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        put(json.dumps(o))
 
 
 def _scalar_key(k: Any) -> str:
@@ -255,27 +256,8 @@ def encode_presentation(p: construction.Presentation) -> dict:
             "component_invariants": encode_invariants(p.component_invariants)}
 
 
-def parse_presentation(doc: Any) -> construction.Presentation:
-    d = _field_context(doc, "$")
-    dd = doc["facets"]
-    rows = tuple(construction.LevelRow(
-        decode_kvector(r["coefficients"], d, dd, f"$.level_rows[{i}].coefficients"),
-        decode_fe(r["constant"], d, f"$.level_rows[{i}].constant"))
-        for i, r in enumerate(doc["level_rows"]))
-    cont = tuple(decode_kvector(g, d, dd, f"$.cont_gens[{i}]")
-                 for i, g in enumerate(doc["cont_gens"]))
-    disc = tuple(decode_kvector(g, d, dd, f"$.disc_gens[{i}]")
-                 for i, g in enumerate(doc["disc_gens"]))
-    return construction.Presentation(dd, doc["dim"], rows, cont, disc,
-                                     decode_invariants(doc["component_invariants"]))
-
-
 def encode_invariants(inv: AbelianGroupInvariants) -> dict:
     return {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
-
-
-def decode_invariants(obj: Any) -> AbelianGroupInvariants:
-    return AbelianGroupInvariants(obj["free_rank"], tuple(obj["torsion"]))
 
 
 def encode_charts(charts: Sequence[construction.Chart]) -> dict:
@@ -333,39 +315,42 @@ def write_patch(p: tilings.Patch, write: Callable[[str], Any]) -> None:
     (a plain name), their 12 coordinates and their children, so each is one or
     two `%` formats of templates made once per indent from `_LEAF`.
     """
-    forms: dict[str, tuple[str, str, str]] = {}   # node indent -> (opening, leaf, tail)
-    parts: list[str] = [_PATCH_HEAD % (p.depth, p.mode)]
-    put = parts.append
-
-    def emit(nodes: Sequence[tilings.Node], nl: str) -> None:   # nl: the holder's indent
-        if len(parts) >= _FLUSH_PARTS:
-            write("".join(parts))
-            parts.clear()
-        if not nodes:
-            put("[]")
-            return
-        at = nl + "    "
-        if at not in forms:
-            opening, tail = _LEAF.replace("\n", at).split("[]")
-            forms[at] = opening, "%s" + opening + "[]" + tail, tail
-        opening, leaf, tail = forms[at]
-        sep = "[" + at
-        for node in nodes:
-            tile, kids = node.tile, node.children
-            a, b1, b2 = tile.vertices
-            values = (tile.kind,) + a.c + b1.c + b2.c
-            if kids:
-                put(sep + opening)
-                emit(kids, at)
-                put(tail % values)
-            else:
-                put(leaf % ((sep,) + values))
-            sep = "," + at
-        put(nl + "  ]")
-
-    emit(p.roots, "\n")
-    put(_PATCH_END)
+    parts = [_PATCH_HEAD % (p.depth, p.mode)]
+    _emit(p.roots, "\n", parts, {}, write)
+    parts.append(_PATCH_END)
     write("".join(parts))
+
+
+def _emit(nodes: Sequence[tilings.Node], nl: str, parts: list[str],
+          forms: dict[str, tuple[str, str, str]], write: Callable[[str], Any]) -> None:
+    """Put `nodes` as a list held at indent `nl` into `parts`; `forms` maps a node
+    indent to its (opening, leaf, tail) templates.  A module-level recursion, so no
+    closure cycle keeps `parts` alive after the call."""
+    if len(parts) >= _FLUSH_PARTS:
+        write("".join(parts))
+        parts.clear()
+    put = parts.append
+    if not nodes:
+        put("[]")
+        return
+    at = nl + "    "
+    if at not in forms:
+        opening, tail = _LEAF.replace("\n", at).split("[]")
+        forms[at] = opening, "%s" + opening + "[]" + tail, tail
+    opening, leaf, tail = forms[at]
+    sep = "[" + at
+    for node in nodes:
+        tile, kids = node.tile, node.children
+        a, b1, b2 = tile.vertices
+        values = (tile.kind,) + a.c + b1.c + b2.c
+        if kids:
+            put(sep + opening)
+            _emit(kids, at, parts, forms, write)
+            put(tail % values)
+        else:
+            put(leaf % ((sep,) + values))
+        sep = "," + at
+    put(nl + "  ]")
 
 
 def _node_fault(obj: Any) -> Optional[tuple[str, str]]:
@@ -424,6 +409,37 @@ def _rehook(obj: Any, hook: Callable[[dict], Any]) -> Any:
     return obj
 
 
+def _fail(trail: list[int], suffix: str, message: str) -> NoReturn:
+    path = f"$.roots[{trail[0]}]" + "".join(f".children[{i}]" for i in trail[1:])
+    raise ParseError(path + suffix, message)
+
+
+def _walk(node: Any, trail: list[int], shapes: set, mode: str, depth: int) -> None:
+    """Check the node at `trail` (root index, then child indices) and its subtree.
+    A module-level recursion, so no closure cycle outlives the call."""
+    decoded = type(node) is tilings.Node
+    fault = None if decoded else _node_fault(node)   # undecoded: a fault here or below
+    if fault:
+        _fail(trail, *fault)
+    kids = node.children if decoded else node.get("children", [])
+    level = len(trail) - 1
+    if bool(kids) != (level < depth):
+        _fail(trail, "", f"{'leaf' if not kids else 'node with children'} at tree "
+                         f"depth {level}, but every leaf must sit at depth {depth}")
+    if decoded:
+        key = tilings.tile_key(node.tile)
+        if key not in shapes:
+            try:
+                node.tile.check_shape(mode)
+            except ValueError as exc:
+                _fail(trail, ".vertices", str(exc))
+            shapes.add(key)
+    for i, c in enumerate(kids):
+        trail.append(i)
+        _walk(c, trail, shapes, mode, depth)
+        trail.pop()
+
+
 def parse_patch(doc: Any) -> tilings.Patch:
     """The patch of a document loaded plainly or through `patch_hook()`.
 
@@ -440,36 +456,6 @@ def parse_patch(doc: Any) -> tilings.Patch:
         raise ParseError("$.roots", "expected a non-empty list")
     roots = _rehook(roots, patch_hook())
     shapes: set[tuple] = set()                # tile_key of every tile that passed
-    trail: list[int] = []                     # root index, then child indices
-
-    def fail(suffix: str, message: str) -> NoReturn:
-        path = f"$.roots[{trail[0]}]" + "".join(f".children[{i}]" for i in trail[1:])
-        raise ParseError(path + suffix, message)
-
-    def walk(node: Any) -> None:
-        decoded = type(node) is tilings.Node
-        fault = None if decoded else _node_fault(node)   # undecoded: a fault here or below
-        if fault:
-            fail(*fault)
-        kids = node.children if decoded else node.get("children", [])
-        level = len(trail) - 1
-        if bool(kids) != (level < depth):
-            fail("", f"{'leaf' if not kids else 'node with children'} at tree "
-                     f"depth {level}, but every leaf must sit at depth {depth}")
-        if decoded:
-            key = tilings.tile_key(node.tile)
-            if key not in shapes:
-                try:
-                    node.tile.check_shape(mode)
-                except ValueError as exc:
-                    fail(".vertices", str(exc))
-                shapes.add(key)
-        for i, c in enumerate(kids):
-            trail.append(i)
-            walk(c)
-            trail.pop()
-
     for i, r in enumerate(roots):
-        trail[:] = [i]
-        walk(r)
+        _walk(r, [i], shapes, mode, depth)
     return tilings.Patch(mode, tuple(roots), depth)

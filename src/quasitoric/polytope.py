@@ -3,9 +3,10 @@
 A polytope is a finite intersection of half-spaces { mu : <mu, X_j> >= lambda_j }
 with inward-pointing normals X_j and levels lambda_j in a fixed quadratic
 field Q(sqrt D).  Every decision is exact, in Z[sqrt D]: each row (X_j, -lambda_j)
-is scaled by the positive lcm of its denominators, one fraction-free elimination
-per n-subset gives its point as numerators N over a determinant delta, and
-facet j's slack has the sign of (<X_j, N> - lambda_j*delta) * delta.
+is scaled by the positive lcm of its denominators (`field._integer_rows`), and
+the fraction-free elimination that `KMatrix` also uses (`field._eliminate`)
+gives each n-subset's point as numerators N over a determinant delta; facet
+j's slack has the sign of (<X_j, N> - lambda_j*delta) * delta.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import FieldElem, KMatrix, KVector, _make, _sign
+from .field import FieldElem, KMatrix, KVector, _eliminate, _integer_rows, _make, _sign
 
 
 class DegenerateCutError(ValueError):
@@ -27,43 +28,17 @@ MAX_VERTEX_CANDIDATES = 50_000   # n- and (n-1)-subsets of facets tried; about 2
 def _kernel_line(rows: list, d: int, free_last: bool = False) -> Optional[list]:
     """A kernel vector of a k x (k+1) matrix of rank k over Z[sqrt d], else None.
 
-    Entries are pairs (p, q) = p + q*sqrt(d).  Fraction-free Gauss-Jordan
-    (Bareiss 1968), each division exact as every entry is a minor, leaves row i
-    as delta*y[c_i] + m[i][f]*y[f] = 0 (c_i its pivot column, f the free one,
-    delta the last pivot).  None at a second free column, or with `free_last`
-    at a free column before the last.
+    Entries are pairs (p, q) = p + q*sqrt(d).  Read off `_eliminate`: pivot row
+    i gives y[c_i] = -m[i][f] with y[f] = delta at the one free column f.  None
+    at a second free column, or with `free_last` at a free column before the last.
     """
-    m, k = [list(r) for r in rows], len(rows)
-    pc, pe, norm, free, pivots = 1, 0, 1, -1, []
-
-    def exact(x: int, y: int) -> tuple[int, int]:   # (x + y*sqrt d) / (pc + pe*sqrt d)
-        x, y = x * pc - y * pe * d, y * pc - x * pe   # times the conjugate, over the norm
-        (qx, rx), (qy, ry) = divmod(x, norm), divmod(y, norm)
-        if rx or ry:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        return qx, qy
-
-    for c in range(k + 1):
-        r = len(pivots)
-        pr = next((i for i in range(r, k) if m[i][c] != (0, 0)), None)
-        if pr is None:
-            if free >= 0 or (free_last and c < k):
-                return None
-            free = c
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        row, (a, b) = m[r], m[r][c]
-        cols = list(range(c + 1, k + 1)) + ([free] if free >= 0 else [])
-        for mi in m[:r] + m[r + 1:]:
-            e, f = mi[c]
-            for j in cols:
-                x, y = mi[j]
-                s, t = row[j]
-                mi[j] = exact(a * x - e * s + d * (b * y - f * t), a * y + b * x - e * t - f * s)
-        pc, pe, norm = a, b, a * a - b * b * d
-        pivots.append(c)
-    y = {c: (-mi[free][0], -mi[free][1]) for mi, c in zip(m, pivots)}
-    return [y.get(c, (pc, pe)) for c in range(k + 1)]   # y[free] = delta
+    m, pivots, delta = _eliminate(rows, d)
+    f = next((c for c, p in enumerate(pivots) if c != p), len(pivots))   # first free column
+    if len(pivots) < len(rows) or (free_last and f < len(rows)):
+        return None
+    y = [(-p, -q) for p, q in (mi[f] for mi in m)]   # in column order, skipping f
+    y.insert(f, delta)
+    return y
 
 
 def _dot_sign(row: list[tuple[int, int]], y: list[tuple[int, int]], d: int) -> int:
@@ -136,12 +111,6 @@ class PolytopeH:
     def field_d(self) -> int:
         return self.halfspaces[0].normal.d
 
-    def _integer_rows(self) -> list[list[tuple[int, int]]]:
-        """(X_j, -lambda_j) over Z[sqrt D], times the positive lcm of its denominators."""
-        rows = [list(h.normal) + [-h.level] for h in self.halfspaces]
-        return [[(x._p * (m // x._r), x._q * (m // x._r)) for x in row]
-                for row, m in ((row, math.lcm(*(x._r for x in row))) for row in rows)]
-
     def _check_budget(self) -> None:   # before `vertices` and `is_bounded` try any subset
         candidates = math.comb(self.d, self.dim) + math.comb(self.d, self.dim - 1)
         if candidates > MAX_VERTEX_CANDIDATES:
@@ -154,7 +123,8 @@ class PolytopeH:
         if self._vertices is not None:
             return self._vertices
         self._check_budget()
-        n, d, rows = self.dim, self.field_d, self._integer_rows()
+        n, d = self.dim, self.field_d
+        rows = _integer_rows([*h.normal, -h.level] for h in self.halfspaces)
         seen: dict[tuple[int, ...], VertexData] = {}
         for subset in itertools.combinations(range(self.d), n):
             y = _kernel_line([rows[j] for j in subset], d, free_last=True)
@@ -187,9 +157,9 @@ class PolytopeH:
     def is_bounded(self) -> bool:
         """Recession cone == {0}, decided by enumerating candidate extreme rays."""
         self._check_budget()
-        if KMatrix.from_vectors([h.normal for h in self.halfspaces]).rank() < self.dim:
+        d, rows = self.field_d, _integer_rows(h.normal for h in self.halfspaces)
+        if len(_eliminate(rows, d)[1]) < self.dim:
             return False  # the cone contains a line
-        d, rows = self.field_d, [r[:-1] for r in self._integer_rows()]
         for subset in itertools.combinations(range(self.d), self.dim - 1):
             y = _kernel_line([rows[j] for j in subset], d)
             if y is None:

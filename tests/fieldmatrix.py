@@ -1,0 +1,63 @@
+"""Reference linear algebra over a quadratic field, used only by the tests.
+
+Textbook Gauss-Jordan elimination on `FieldElem` entries, one inverse per
+pivot.  `KMatrix` reads every answer off one fraction-free elimination over
+Z[sqrt D]; these functions give the same answers the slow, obvious way.
+Matrices are lists of rows; vectors are lists.
+"""
+from quasitoric.field import FieldElem
+
+
+def rref(rows, ncols):
+    """(pivot rows of the reduced row echelon form, their pivot columns)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def kernel(m, pivots, ncols, d):
+    """Canonical kernel basis read off `rref` output (extra columns ignored)."""
+    raw = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [FieldElem(0, 0, d)] * ncols
+        v[f] = FieldElem(1, 0, d)
+        for i, p in enumerate(pivots):
+            v[p] = -m[i][f]
+        raw.append(v)
+    return rref(raw, ncols)[0]
+
+
+def solve(rows, b, ncols, d):
+    """(particular solution, kernel basis) of A x = b, or None."""
+    m, pivots = rref([list(r) + [x] for r, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [FieldElem(0, 0, d)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = m[i][ncols]
+    return x, kernel(m, pivots, ncols, d)
+
+
+def inverse(rows, d):
+    """A^-1 of a square matrix; ZeroDivisionError when A is singular."""
+    n = len(rows)
+    eye = [[FieldElem(int(i == j), 0, d) for j in range(n)] for i in range(n)]
+    m, pivots = rref([list(r) + e for r, e in zip(rows, eye)], 2 * n)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("inverse of a singular matrix")
+    return [r[n:] for r in m]

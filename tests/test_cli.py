@@ -7,7 +7,7 @@ import re
 import pytest
 
 from quasitoric import jsonio, polytope, tilings
-from quasitoric.cli import main
+from quasitoric.cli import build_parser, main
 from quasitoric.construction import Triple, build_presentation
 from quasitoric.examples import EXAMPLES, get_example
 from quasitoric.field import KMatrix, KVector, fe
@@ -42,12 +42,11 @@ def test_present_json_roundtrip(tmp_path, capsys):
     code, _, _ = run(capsys, "present", "--example", "quasisphere",
                      "--format", "json", "--output", str(out_path))
     assert code == 0
-    doc = json.loads(out_path.read_text())
-    pres = jsonio.parse_presentation(doc)
-    assert pres == build_presentation(get_example("quasisphere"))
+    pres = build_presentation(get_example("quasisphere"))
+    assert out_path.read_text() == jsonio.dumps_canonical(jsonio.encode_presentation(pres))
     # byte determinism
-    again = jsonio.dumps_canonical(jsonio.encode_presentation(pres))
-    assert again == out_path.read_text()
+    code, again, _ = run(capsys, "present", "--example", "quasisphere", "--format", "json")
+    assert (code, again) == (0, out_path.read_text())
 
 
 def test_classify_octahedron_exit_2(capsys):
@@ -143,6 +142,45 @@ def test_tile_doubled_and_paired_render(tmp_path, capsys):
     assert code == 0
     assert "<polygon" in out
 
+
+
+def test_consecutive_calls_share_no_flags(tmp_path, capsys):
+    # one parser serves every call of a process: a flag given once must not stick
+    patch = str(tmp_path / "patch.json")
+    tile = ["tile", "--type", "p2", "--steps", "2"]
+    plain = [run(capsys, *tile)[1] for _ in range(2)]
+    doubled = run(capsys, *tile, "--doubled", "--seed", "obtuse")[1]
+    assert run(capsys, *tile)[1] == plain[0] == plain[1] != doubled
+    assert run(capsys, *tile, "--output", patch)[:2] == (0, "")
+    renders = [run(capsys, "render", "--input", patch, *flags)[1]
+               for flags in ([], ["--paired"], [], ["--star", "3"], [], ["--paired"])]
+    assert renders[0] == renders[2] == renders[4] != renders[1] == renders[5]
+    assert renders[3].count("<line") == 3
+    assert run(capsys, "render", "--star")[1].count("<line") == 5   # the const, not 3
+    args = build_parser().parse_args(tile)
+    assert (args.doubled, args.seed, args.output) == (False, "acute", None)
+    assert build_parser() is build_parser()
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
+    # garbage in a cycle outlives its command until some later collection,
+    # so one command's output text could share the next command's peak memory
+    patch = str(tmp_path / "patch.json")
+    argvs = (["tile", "--type", "p3", "--steps", "4", "--output", patch],
+             ["render", "--input", patch], ["render", "--input", patch, "--paired"],
+             ["report", "--example", "cube", "--format", "json"])
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in argvs:   # builds the parser, which lives as long as the process
+            main(argv)
+        gc.collect()
+        for argv in argvs:
+            assert main(argv) == 0
+            assert gc.collect() == 0, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 def test_render_star(capsys):
     code, out, _ = run(capsys, "render", "--star")

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import fieldmatrix
 from quasitoric.field import (FieldElem, FieldMixError, KMatrix, KVector, fe,
                               parse_field_elem, phi)
 
@@ -265,6 +266,68 @@ def test_inverse_of_singular_matrix_raises(d):
             KMatrix(rows).inverse()
     with pytest.raises(ValueError):
         KMatrix([[fe(1), fe(0)]]).inverse()
+
+
+
+def _small_fe(rng, d):
+    b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if d else 0
+    return FieldElem(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), b, d)
+
+
+def _degenerate_matrix(rng, d):
+    """Rows with zero columns, zero rows and proportional rows mixed in, shuffled."""
+    m = rng.randint(1, 4)
+    n = m if rng.random() < 0.4 else rng.randint(1, 5)
+    zero = FieldElem(0, 0, d)
+    rows = [[_small_fe(rng, d) for _ in range(n)] for _ in range(m)]
+    for c in range(n):
+        if rng.random() < 0.2:
+            for r in rows:
+                r[c] = zero
+    for i in range(1, m):
+        if rng.random() < 0.2:
+            rows[i] = [zero] * n
+        elif rng.random() < 0.25:
+            f = _small_fe(rng, d)
+            rows[i] = [f * x for x in rows[rng.randrange(i)]]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("d", [0, 2, 3, 5])
+def test_shared_elimination_matches_the_field_reference(d):
+    rng = random.Random(f"elimination:{d}")
+    seen = {"deficient": 0, "inconsistent": 0, "singular": 0, "inverted": 0}
+    for _ in range(300):
+        rows = _degenerate_matrix(rng, d)
+        m, n = len(rows), len(rows[0])
+        a = KMatrix(rows)
+        ref_rows, ref_pivots = fieldmatrix.rref(rows, n)
+        ref_kernel = [KVector(v, d) for v in fieldmatrix.kernel(ref_rows, ref_pivots, n, d)]
+        assert a.rank() == len(ref_pivots)
+        assert a.rref() == KMatrix(ref_rows, ncols=n, d=d)
+        assert a.kernel_basis() == ref_kernel
+        seen["deficient"] += len(ref_pivots) < min(m, n)
+        x = [_small_fe(rng, d) for _ in range(n)]
+        for b in ([_small_fe(rng, d) for _ in range(m)], list(a.matvec(KVector(x, d)))):
+            ref = fieldmatrix.solve(rows, b, n, d)
+            got = a.solve(KVector(b, d))
+            if ref is None:
+                assert got is None
+                seen["inconsistent"] += 1
+            else:
+                assert got == (KVector(ref[0], d), [KVector(v, d) for v in ref[1]])
+        if m == n:
+            try:
+                ref_inv = fieldmatrix.inverse(rows, d)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+                seen["singular"] += 1
+            else:
+                assert a.inverse() == KMatrix(ref_inv, ncols=n, d=d)
+                seen["inverted"] += 1
+    assert all(v >= 20 for v in seen.values()), seen
 
 
 # -- the canonical integer form against a reference on Fraction pairs ----------
