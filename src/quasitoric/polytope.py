@@ -2,11 +2,11 @@
 
 A polytope is a finite intersection of half-spaces { mu : <mu, X_j> >= lambda_j }
 with inward-pointing normals X_j and levels lambda_j in a fixed quadratic
-field Q(sqrt D).  Every decision is exact, in Z[sqrt D]: each row (X_j, -lambda_j)
-is scaled by the positive lcm of its denominators (`field._integer_rows`), and
-the fraction-free elimination that `KMatrix` also uses (`field._eliminate`)
-gives each n-subset's point as numerators N over a determinant delta; facet
-j's slack has the sign of (<X_j, N> - lambda_j*delta) * delta.
+field Q(sqrt D).  Every decision is exact, in Z[sqrt D] integers (`field._integer_rows`,
+then the fraction-free `field._eliminate` that `KMatrix` also uses).  One scan over the
+homogenized cone { (mu, t) : <mu, X_j> >= lambda_j t, t >= 0 } gives the vertices, its
+extreme rays with t > 0, and boundedness: no extreme ray with t = 0 (Avis-Fukuda 1992;
+Fukuda-Prodon 1996).  Affine dimensions are the ranks of the rows (point, 1), minus one.
 """
 from __future__ import annotations
 
@@ -15,27 +15,26 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import FieldElem, KMatrix, KVector, _eliminate, _integer_rows, _make, _sign
+from .field import FieldElem, FieldMixError, KVector, _eliminate, _integer_rows, _make, _sign
 
 
 class DegenerateCutError(ValueError):
     """The cutting hyperplane does not meet the interior of the polytope."""
 
 
-MAX_VERTEX_CANDIDATES = 50_000   # n- and (n-1)-subsets of facets tried; about 2 s of work
+MAX_VERTEX_CANDIDATES = 50_000   # n-subsets of the d + 1 homogenized rows; about 2 s of work
 
 
-def _kernel_line(rows: list, d: int, free_last: bool = False) -> Optional[list]:
+def _kernel_line(rows: list, d: int) -> Optional[list]:
     """A kernel vector of a k x (k+1) matrix of rank k over Z[sqrt d], else None.
 
     Entries are pairs (p, q) = p + q*sqrt(d).  Read off `_eliminate`: pivot row
-    i gives y[c_i] = -m[i][f] with y[f] = delta at the one free column f.  None
-    at a second free column, or with `free_last` at a free column before the last.
+    i gives y[c_i] = -m[i][f] with y[f] = delta at the one free column f.
     """
     m, pivots, delta = _eliminate(rows, d)
-    f = next((c for c, p in enumerate(pivots) if c != p), len(pivots))   # first free column
-    if len(pivots) < len(rows) or (free_last and f < len(rows)):
+    if len(pivots) < len(rows):
         return None
+    f = next((c for c, p in enumerate(pivots) if c != p), len(pivots))   # the free column
     y = [(-p, -q) for p, q in (mi[f] for mi in m)]   # in column order, skipping f
     y.insert(f, delta)
     return y
@@ -51,7 +50,7 @@ def _dot_sign(row: list[tuple[int, int]], y: list[tuple[int, int]], d: int) -> i
 
 
 class VertexBudgetError(ValueError):
-    """More than MAX_VERTEX_CANDIDATES facet subsets; args: (candidates, budget)."""
+    """More than MAX_VERTEX_CANDIDATES row subsets; args: (candidates, budget)."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,8 @@ class HalfSpace:
     def __post_init__(self) -> None:
         if self.normal.is_zero():
             raise ValueError("half-space normal must be nonzero")
+        if self.level.d != self.normal.d:
+            raise FieldMixError(f"level in D={self.level.d}, normal in D={self.normal.d}")
 
     def slack(self, point: KVector) -> FieldElem:
         return self.normal.dot(point) - self.level
@@ -94,12 +95,16 @@ class PolytopeH:
     def __init__(self, dim: int, halfspaces: Sequence[HalfSpace]) -> None:
         if dim < 1:
             raise ValueError("dimension must be positive")
+        if not halfspaces:
+            raise ValueError("a polytope needs at least one half-space")
         for h in halfspaces:
             if len(h.normal) != dim:
                 raise ValueError("normal dimension mismatch")
+            if h.normal.d != halfspaces[0].normal.d:
+                raise FieldMixError("half-spaces from different fields")
         self.dim = dim
         self.halfspaces = tuple(halfspaces)
-        self._vertices: Optional[tuple[VertexData, ...]] = None
+        self._scanned: Optional[tuple[tuple[VertexData, ...], bool]] = None   # vertices, bounded
         self._irredundant = False   # True when proved by drop_redundant
         self._validation: Optional[ValidationReport] = None
 
@@ -111,29 +116,41 @@ class PolytopeH:
     def field_d(self) -> int:
         return self.halfspaces[0].normal.d
 
-    def _check_budget(self) -> None:   # before `vertices` and `is_bounded` try any subset
-        candidates = math.comb(self.d, self.dim) + math.comb(self.d, self.dim - 1)
+    # -- the scan: vertices and boundedness ---------------------------------------
+
+    def _scan(self) -> tuple[tuple[VertexData, ...], bool]:
+        """(vertices sorted by coordinates, bounded) from the kernel lines (N, t) of the
+        n-subsets of the facet rows (X_j, -lambda_j) and the row (0, ..., 0, 1).
+
+        t != 0: N/t is a vertex if every slack is >= 0.  With the last row the line
+        is (N, 0), N spanning the kernel of the other n - 1 normals: N or -N is a
+        recession ray unless the normals take both signs on it; others with t = 0
+        repeat such a line.
+        """
+        if self._scanned is not None:
+            return self._scanned
+        n, d = self.dim, self.field_d
+        candidates = math.comb(self.d + 1, n)   # C(d, n) + C(d, n - 1)
         if candidates > MAX_VERTEX_CANDIDATES:
             raise VertexBudgetError(candidates, MAX_VERTEX_CANDIDATES)
-
-    # -- vertex enumeration ----------------------------------------------------
-
-    def vertices(self) -> tuple[VertexData, ...]:
-        """All vertices, deduplicated exactly and sorted by coordinates."""
-        if self._vertices is not None:
-            return self._vertices
-        self._check_budget()
-        n, d = self.dim, self.field_d
-        rows = _integer_rows([*h.normal, -h.level] for h in self.halfspaces)
+        facets = _integer_rows([*h.normal, -h.level] for h in self.halfspaces)
+        normals = [row[:n] for row in facets]
+        bounded = len(_eliminate(normals, d)[1]) == n   # else the cone holds a line
         seen: dict[tuple[int, ...], VertexData] = {}
-        for subset in itertools.combinations(range(self.d), n):
-            y = _kernel_line([rows[j] for j in subset], d, free_last=True)
-            if y is None:
-                continue  # rank-deficient subset: no unique intersection point
-            if _sign(*y[n], d) < 0:
+        for subset in itertools.combinations(range(self.d + 1), n):
+            if subset[-1] == self.d:   # the last row: eliminate the n - 1 normals alone
+                y = _kernel_line([normals[j] for j in subset[:-1]], d) if bounded else None
+                if y is not None:
+                    signs = (s for s in (_dot_sign(x, y, d) for x in normals) if s)
+                    bounded = -next(signs, 0) in signs
+                continue
+            y = _kernel_line([facets[j] for j in subset], d)
+            if y is None or (t := _sign(*y[n], d)) == 0:
+                continue  # rank-deficient subset, or t = 0
+            if t < 0:
                 y = [(-p, -q) for p, q in y]   # delta > 0, so slack signs read directly
             active = []
-            for j, row in enumerate(rows):
+            for j, row in enumerate(facets):
                 s = _dot_sign(row, y, d)
                 if s < 0:
                     break   # infeasible
@@ -149,55 +166,43 @@ class PolytopeH:
                 point = KVector([_make(x * c - z * e * d, z * c - x * e, norm, d)
                                  for x, z in y[:n]], d)
                 seen[key] = VertexData(point, key)
-        self._vertices = tuple(sorted(seen.values(), key=lambda v: tuple(v.point)))  # exact order
-        return self._vertices
+        verts = tuple(sorted(seen.values(), key=lambda v: tuple(v.point)))  # exact order
+        self._scanned = verts, bounded
+        return self._scanned
+
+    def vertices(self) -> tuple[VertexData, ...]:
+        """All vertices, deduplicated exactly and sorted by coordinates."""
+        return self._scan()[0]
 
     # -- validation --------------------------------------------------------------
 
     def is_bounded(self) -> bool:
-        """Recession cone == {0}, decided by enumerating candidate extreme rays."""
-        self._check_budget()
-        d, rows = self.field_d, _integer_rows(h.normal for h in self.halfspaces)
-        if len(_eliminate(rows, d)[1]) < self.dim:
-            return False  # the cone contains a line
-        for subset in itertools.combinations(range(self.d), self.dim - 1):
-            y = _kernel_line([rows[j] for j in subset], d)
-            if y is None:
-                continue  # not an extreme-ray candidate
-            signs = (s for s in (_dot_sign(row, y, d) for row in rows) if s)
-            if -next(signs, 0) not in signs:
-                return False  # y or -y is a ray of the recession cone
-        return True
+        """Recession cone == {0}: no recession ray among the scan's kernel lines."""
+        return self._scan()[1]
+
+    def _affine_dim(self, verts: Sequence[VertexData]) -> int:
+        """Affine dimension of the vertices' points (-1 if none)."""
+        rows = _integer_rows([*v.point, _make(1, 0, 1, self.field_d)] for v in verts)
+        return len(_eliminate(rows, self.field_d)[1]) - 1
 
     def _facet_contact_dim(self, j: int) -> int:
         """Affine dimension of the set of vertices lying on facet j (-1 if none)."""
-        pts = [v.point for v in self.vertices() if j in v.active_facets]
-        if not pts:
-            return -1
-        diffs = [p - pts[0] for p in pts[1:]]
-        if not diffs:
-            return 0
-        return KMatrix.from_vectors(diffs).rank()
+        return self._affine_dim([v for v in self.vertices() if j in v.active_facets])
 
     def validate(self) -> ValidationReport:
-        if self._validation is not None:
-            return self._validation
-        self._validation = self._validate()
+        if self._validation is None:
+            self._validation = self._validate()
         return self._validation
 
     def _validate(self) -> ValidationReport:
-        bounded = self.is_bounded()
-        if not bounded:
+        if not self.is_bounded():
             return ValidationReport(False, False, False, False, 0)
-        verts = self.vertices()
-        if not verts:
-            return ValidationReport(True, False, False, False, 0)
-        diffs = [v.point - verts[0].point for v in verts[1:]]
-        full_dim = bool(diffs) and KMatrix.from_vectors(diffs).rank() == self.dim
+        verts = self.vertices()   # with none, every field but bounded reads False
+        full_dim = self._affine_dim(verts) == self.dim
         irredundant = self._irredundant or all(self._facet_contact_dim(j) == self.dim - 1
                                                for j in range(self.d))
-        simple = all(len(v.active_facets) == self.dim for v in verts)
-        return ValidationReport(bounded, full_dim, irredundant, simple, len(verts))
+        simple = bool(verts) and all(len(v.active_facets) == self.dim for v in verts)
+        return ValidationReport(True, full_dim, irredundant, simple, len(verts))
 
     # -- cutting -------------------------------------------------------------------
 
@@ -205,17 +210,16 @@ class PolytopeH:
         """Remove half-spaces not supporting a facet; keeps the original order.
 
         Returns the trimmed polytope and the kept original facet indices.  For a
-        bounded full-dimensional polytope (as a cut half of one is) the trimmed
-        one is the same set, irredundant, with these vertices, facets renumbered.
+        bounded full-dimensional polytope (as a cut half of one is) the trimmed one
+        is the same set: it inherits this scan (vertices renumbered), irredundant.
         """
-        keep = [j for j in range(self.d)
-                if self._facet_contact_dim(j) == self.dim - 1]
+        keep = [j for j in range(self.d) if self._facet_contact_dim(j) == self.dim - 1]
         trimmed = PolytopeH(self.dim, [self.halfspaces[j] for j in keep])
-        trimmed._irredundant = True
         renumber = {j: i for i, j in enumerate(keep)}
-        trimmed._vertices = tuple(
+        verts, bounded = self._scan()
+        trimmed._scanned, trimmed._irredundant = (tuple(
             VertexData(v.point, tuple(renumber[j] for j in v.active_facets if j in renumber))
-            for v in self.vertices())
+            for v in verts), bounded), True
         return trimmed, keep
 
 
@@ -233,15 +237,11 @@ def cut_with_maps(p: PolytopeH, normal: KVector, level: FieldElem,
     signs = [(normal.dot(v.point) - level).sign() for v in p.vertices()]
     if not any(s > 0 for s in signs) or not any(s < 0 for s in signs):
         raise DegenerateCutError("degenerate cut: hyperplane misses the interior")
-    plus_raw = PolytopeH(p.dim, list(p.halfspaces) + [HalfSpace(normal, level)])
-    minus_raw = PolytopeH(p.dim, list(p.halfspaces) + [HalfSpace(-normal, -level)])
-    plus, keep_p = plus_raw.drop_redundant()
-    minus, keep_m = minus_raw.drop_redundant()
-
-    def to_map(keep: list[int]) -> list[int]:
-        return [j if j < p.d else -1 for j in keep]
-
-    return plus, to_map(keep_p), minus, to_map(keep_m)
+    out: list = []
+    for cut_facet in (HalfSpace(normal, level), HalfSpace(-normal, -level)):
+        half, keep = PolytopeH(p.dim, [*p.halfspaces, cut_facet]).drop_redundant()
+        out += [half, [j if j < p.d else -1 for j in keep]]
+    return tuple(out)
 
 
 def cut(p: PolytopeH, normal: KVector, level: FieldElem) -> tuple[PolytopeH, PolytopeH]:

@@ -15,7 +15,7 @@ from quasitoric.examples import (cube, dodecahedron, get_example, kite,
 from quasitoric.field import FieldElem, KMatrix, KVector, fe, phi
 from quasitoric.intlattice import hnf_basis, int_solve
 from quasitoric.polytope import HalfSpace, PolytopeH
-from quasitoric.quasilattice import Quasilattice, split_target
+from quasitoric.quasilattice import Quasilattice, split_target, z_rank
 
 from halves import SIMPLE_EXAMPLES, seeded_halves
 
@@ -279,6 +279,20 @@ def test_vertex_count_equals_chart_count():
     for name in ("quasisphere", "kite", "cube", "dodecahedron"):
         t = get_example(name)
         assert len(build_charts(t)) == len(t.polytope.vertices())
+
+
+def test_charts_per_vertex_and_quasifold_iff_lattice_rank_exceeds_dim():
+    """On the simple examples and seeded halves: one chart per vertex, and the
+    chart groups make a quasifold exactly when the quasilattice's Z-rank
+    exceeds the dimension (the normals' Z-rank does not decide it: the
+    rhombi's normals have Z-rank 2 = n)."""
+    rng = random.Random(55)
+    for name in SIMPLE_EXAMPLES:
+        t = get_example(name)
+        for u in [t, *seeded_halves(t, rng, tries=2)]:
+            c = classify(u)
+            assert c.simple and len(c.chart_kinds) == len(u.polytope.vertices()), name
+            assert (c.kind == "quasifold") == (z_rank(u.lattice) > u.polytope.dim), name
 
 
 def test_chart_bounds_positive():

@@ -1,0 +1,80 @@
+"""Seeded single-field mutations of a triple and a patch document, through the CLI.
+
+Every case must end in exit 0, 1 or 2 with no traceback: no exception leaves
+`main` and stderr holds none.  Every triple that `validate` accepts parses
+again, after a canonical round trip, into a `Triple`.  Standard-library
+`random` with fixed seeds; no hypothesis.
+"""
+import copy
+import json
+import random
+from collections import Counter
+
+import pytest
+
+from quasitoric import construction, jsonio
+from quasitoric.cli import main
+from quasitoric.examples import get_example
+
+_VALUES = (None, True, False, 0, 1, -1, 2, 10 ** 40, 0.5, "", "0", "1/2", "-3", "1/0",
+           "2sqrt5", "1+1sqrt2", "x", [], {}, [0], {"a": "1"})
+
+
+def _slots(doc):
+    """(container, key) of every value below doc."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+def mutate(doc, rng):
+    """A deep copy of doc with one value deleted, nudged or replaced."""
+    doc = copy.deepcopy(doc)
+    parent, key = rng.choice(list(_slots(doc)))
+    value, op = parent[key], rng.randrange(3)
+    if op == 0:
+        del parent[key]
+    elif op == 1 and type(value) is int:
+        parent[key] = value + rng.choice((-2, -1, 1, 2))
+    elif op == 1 and isinstance(value, str):
+        parent[key] = rng.choice(("-" + value, value + "1", value + "sqrt5", value[:-1]))
+    else:
+        parent[key] = rng.choice(_VALUES)
+    return doc
+
+
+def _run(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except Exception as exc:   # would have been a traceback
+        pytest.fail(f"{argv} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    return code
+
+
+def test_mutated_triples_end_in_an_exit_code(tmp_path, capsys):
+    base = jsonio.encode_triple(get_example("kite"))
+    path, rng, codes = tmp_path / "triple.json", random.Random(300), Counter()
+    for _ in range(300):
+        doc = mutate(base, rng)
+        path.write_text(json.dumps(doc))
+        code = _run(capsys, "validate", "--input", str(path))
+        codes[code] += 1
+        if code == 0:
+            again = json.loads(jsonio.dumps_canonical(jsonio.encode_triple(jsonio.parse_triple(doc))))
+            assert isinstance(jsonio.parse_triple(again), construction.Triple)
+    assert codes[0] and codes[1], codes
+
+
+def test_mutated_patches_end_in_an_exit_code(tmp_path, capsys):
+    path = tmp_path / "patch.json"
+    assert _run(capsys, "tile", "--type", "p2", "--steps", "3", "--output", str(path)) == 0
+    base = json.loads(path.read_text())
+    rng, codes = random.Random(100), Counter()
+    for _ in range(100):
+        path.write_text(json.dumps(mutate(base, rng)))
+        codes[_run(capsys, "render", "--input", str(path))] += 1
+    assert codes[0] and codes[1], codes

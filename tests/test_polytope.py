@@ -6,10 +6,11 @@ import pytest
 
 from quasitoric import polytope
 from quasitoric.examples import EXAMPLES, get_example
-from quasitoric.field import KMatrix, KVector, fe, phi
+from quasitoric.field import FieldMixError, KMatrix, KVector, fe, phi
 from quasitoric.polytope import (DegenerateCutError, HalfSpace, PolytopeH,
-                                 VertexData, cut, cut_with_maps)
+                                 ValidationReport, VertexData, cut, cut_with_maps)
 
+import fieldmatrix
 from halves import seeded_cuts, seeded_halves
 
 
@@ -81,11 +82,33 @@ def test_missing_direction_unbounded():
     assert not q.validate().bounded
 
 
+def test_empty_bounded_polytope_reports_no_property():
+    # x + y >= 3 misses the unit square: bounded, with no vertex
+    p = PolytopeH(2, [*unit_square().halfspaces, HalfSpace(kv(1, 1), fe(3))])
+    assert p.vertices() == ()
+    assert p.validate() == ValidationReport(True, False, False, False, 0)
+
+
 def test_every_vertex_satisfies_all_inequalities():
     for poly in (unit_square(), unit_cube(), octahedron()):
         for v in poly.vertices():
             for h in poly.halfspaces:
                 assert h.slack(v.point).sign() >= 0
+
+
+def test_mixed_fields_are_refused():
+    with pytest.raises(FieldMixError):
+        HalfSpace(kv(-1, 0, d=2), fe(-1, 0, 5))
+    # the unit square with its facet x <= 1 in Q(sqrt 5), the others in Q(sqrt 2)
+    hs = [HalfSpace(kv(1, 0, d=2), fe(0, 0, 2)), HalfSpace(kv(0, 1, d=2), fe(0, 0, 2)),
+          HalfSpace(kv(-1, 0, d=5), fe(-1, 0, 5)), HalfSpace(kv(0, -1, d=2), fe(-1, 0, 2))]
+    with pytest.raises(FieldMixError):
+        PolytopeH(2, hs)
+
+
+def test_empty_polytope_is_refused():
+    with pytest.raises(ValueError, match="at least one half-space"):
+        PolytopeH(2, [])
 
 
 def test_facet_contact_dimension():
@@ -199,12 +222,34 @@ def reference_bounded(p):
     return True
 
 
+def reference_affine_dim(points):
+    """Affine dimension of the points (-1 if none): the `FieldElem` rank of
+    their differences from the first."""
+    if not points:
+        return -1
+    diffs = [list(q - points[0]) for q in points[1:]]
+    return len(fieldmatrix.rref(diffs, len(points[0]))[0])
+
+
 def assert_matches_reference(p):
+    """Vertices, boundedness, facet contact dimensions and the validation
+    report of `p` (which may have inherited them from a cut) and of a fresh
+    copy, against the field references."""
     fresh = PolytopeH(p.dim, p.halfspaces)
     expected = reference_vertices(p)
-    assert p.vertices() == expected          # `p` may have inherited its vertices
-    assert fresh.vertices() == expected
-    assert fresh.is_bounded() == reference_bounded(p)
+    bounded = reference_bounded(p)
+    contact = [reference_affine_dim([v.point for v in expected if j in v.active_facets])
+               for j in range(p.d)]
+    full_dim = reference_affine_dim([v.point for v in expected]) == p.dim
+    irredundant = all(c == p.dim - 1 for c in contact)
+    for q in (p, fresh):
+        assert q.vertices() == expected
+        assert q.is_bounded() == bounded
+        assert [q._facet_contact_dim(j) for j in range(q.d)] == contact
+        report = q.validate()
+        assert report.bounded == bounded
+        if bounded:   # an unbounded report stops there, all False
+            assert (report.full_dim, report.irredundant_facets) == (full_dim, irredundant)
     return expected
 
 
@@ -219,6 +264,22 @@ def test_vertices_match_reference_on_cut_halves():
                  "prolate_rhombohedron", "quasisphere"):
         for half in seeded_halves(get_example(name), rng, tries=2):
             assert_matches_reference(half.polytope)
+
+
+def test_cut_halves_validate_without_trying_a_subset(monkeypatch):
+    calls = []
+    kernel_line = polytope._kernel_line
+    monkeypatch.setattr(polytope, "_kernel_line", lambda *a: calls.append(a) or kernel_line(*a))
+    cube = PolytopeH(3, get_example("cube").polytope.halfspaces)
+    # cut --example cube --normal 1,0,0 --level 1/2
+    plus, _, minus, _ = cut_with_maps(cube, kv(1, 0, 0), fe(Fraction(1, 2)))
+    assert len(calls) == 35 + 56 + 56   # C(7, 3) for the cube, C(8, 3) per untrimmed half
+    calls.clear()
+    reports = [half.validate() for half in (plus, minus)]
+    assert calls == []
+    for half, report in zip((plus, minus), reports):
+        assert report.valid and report.simple and report.vertex_count == 8
+        assert report == PolytopeH(3, half.halfspaces).validate()
 
 
 def _random_elem(rng, d):
@@ -284,9 +345,8 @@ def test_elimination_divides_exactly_and_reads_the_kernel():
                 assert polytope._dot_sign(row, y, d) == 0
     # two proportional rows leave a two-dimensional kernel
     assert polytope._kernel_line([[(1, 0), (2, 0), (3, 0)], [(2, 0), (4, 0), (6, 0)]], 0) is None
-    # a singular leading block refuses only when the last column must be free
+    # a singular leading block still has a one-dimensional kernel
     rows = [[(1, 0), (1, 0), (0, 0)], [(1, 0), (1, 0), (1, 0)]]
-    assert polytope._kernel_line(rows, 0, free_last=True) is None
     assert polytope._kernel_line(rows, 0) == [(-1, 0), (1, 0), (0, 0)]
 
 

@@ -8,8 +8,9 @@ repository's git metadata alone.  For each seed, `perfbench/run.py --workload W
 --seed N --seconds 30 --trace 0` runs once in each checkout, the parent first on
 even-indexed pairs and the change first on odd ones, so drift of the host
 falls on both sides alike.  The output keeps every run, each side's median
-and quartiles (inclusive method) of every end-to-end metric, and the pairs
-the change wins on ops_per_s.  Workloads already in an output file for the
+and quartiles (inclusive method) of every end-to-end metric, the pairs the
+change wins on ops_per_s, and each side's `src/` line count (`src_lines`,
+ROADMAP aim 2's size metric).  Workloads already in an output file for the
 same parent are kept, so workloads can be run one at a time.
 """
 from __future__ import annotations
@@ -43,6 +44,17 @@ def _seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         out.extend(range(int(lo), int(hi or lo) + 1))
     return out
+
+
+def _src_lines(checkout: str) -> int:
+    """Lines of the Python files under src/, as `wc -l` counts them."""
+    total = 0
+    for folder, _dirs, files in os.walk(os.path.join(checkout, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def _run(checkout: str, workload: str, seed: int) -> dict:
@@ -99,6 +111,7 @@ def main() -> int:
         with tarfile.open(fileobj=io.BytesIO(_git("archive", parent))) as tar:
             tar.extractall(tmp)
         sides = {"parent": tmp, "change": ROOT}
+        doc["src_lines"] = {side: _src_lines(path) for side, path in sides.items()}
         for workload in args.workload:
             runs = []
             for i, seed in enumerate(args.seeds):
