@@ -414,9 +414,11 @@ def _fail(trail: list[int], suffix: str, message: str) -> NoReturn:
     raise ParseError(path + suffix, message)
 
 
-def _walk(node: Any, trail: list[int], shapes: set, mode: str, depth: int) -> None:
-    """Check the node at `trail` (root index, then child indices) and its subtree.
-    A module-level recursion, so no closure cycle outlives the call."""
+def _walk(node: Any, trail: list[int], mode: str, depth: int,
+          key: Optional[tuple] = None) -> None:
+    """Check the node at `trail` (root index, then child indices) and its subtree;
+    `key` is the node's table key when its parent's entry gave it.  A
+    module-level recursion, so no closure cycle outlives the call."""
     decoded = type(node) is tilings.Node
     fault = None if decoded else _node_fault(node)   # undecoded: a fault here or below
     if fault:
@@ -426,26 +428,36 @@ def _walk(node: Any, trail: list[int], shapes: set, mode: str, depth: int) -> No
     if bool(kids) != (level < depth):
         _fail(trail, "", f"{'leaf' if not kids else 'node with children'} at tree "
                          f"depth {level}, but every leaf must sit at depth {depth}")
-    if decoded:
-        key = tilings.tile_key(node.tile)
-        if key not in shapes:
-            try:
-                node.tile.check_shape(mode)
-            except ValueError as exc:
-                _fail(trail, ".vertices", str(exc))
-            shapes.add(key)
-    for i, c in enumerate(kids):
+    if decoded and not level:
+        try:
+            node.tile.check_shape(mode)
+        except ValueError as exc:
+            _fail(trail, ".vertices", str(exc))
+    keys: list = [None] * len(kids)
+    if decoded and kids:
+        try:
+            keys = [k for _, _, k in tilings.check_children(mode, node, key)]
+        except ValueError as exc:   # name a child of the wrong shape, else the node
+            for i, c in enumerate(kids):
+                try:
+                    c.tile.check_shape(mode)
+                except ValueError as shape:
+                    _fail(trail + [i], ".vertices", str(shape))
+            _fail(trail, ".children", str(exc))
+    for i, (c, k) in enumerate(zip(kids, keys)):
+        if k is not None and not c.children and level + 1 == depth:
+            continue   # a leaf its parent's entry matched: nothing left to check
         trail.append(i)
-        _walk(c, trail, shapes, mode, depth)
+        _walk(c, trail, mode, depth, k)
         trail.pop()
 
 
 def parse_patch(doc: Any) -> tilings.Patch:
     """The patch of a document loaded plainly or through `patch_hook()`.
 
-    Every leaf must sit at tree depth `depth` and every tile must have its
-    kind's shape.  A shape depends only on (kind, b1 - a, b2 - a), so one
-    `check_shape` per distinct key decides every tile of the document.
+    Every leaf must sit at tree depth `depth`, every root must have its kind's
+    shape, and every node's children must be the substitution of its tile
+    (`tilings.check_children`): the document is one the library can grow.
     """
     if not isinstance(doc, dict) or doc.get("mode") not in ("p2", "p3"):
         raise ParseError("$.mode", "expected 'p2' or 'p3'")
@@ -455,7 +467,6 @@ def parse_patch(doc: Any) -> tilings.Patch:
     if not isinstance(roots, list) or not roots:
         raise ParseError("$.roots", "expected a non-empty list")
     roots = _rehook(roots, patch_hook())
-    shapes: set[tuple] = set()                # tile_key of every tile that passed
     for i, r in enumerate(roots):
-        _walk(r, [i], shapes, mode, depth)
+        _walk(r, [i], mode, depth)
     return tilings.Patch(mode, tuple(roots), depth)

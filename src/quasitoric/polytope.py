@@ -209,14 +209,17 @@ class PolytopeH:
     def drop_redundant(self) -> tuple["PolytopeH", list[int]]:
         """Remove half-spaces not supporting a facet; keeps the original order.
 
-        Returns the trimmed polytope and the kept original facet indices.  For a
-        bounded full-dimensional polytope (as a cut half of one is) the trimmed one
-        is the same set: it inherits this scan (vertices renumbered), irredundant.
+        Returns the trimmed polytope and the kept original facet indices.  Only a
+        bounded full-dimensional polytope (as a cut half of one is) is trimmed,
+        else ValueError; the trimmed one is the same set, so it inherits this scan
+        (vertices renumbered), irredundant.
         """
+        verts, bounded = self._scan()
+        if not bounded or self._affine_dim(verts) != self.dim:
+            raise ValueError("only a bounded full-dimensional polytope can be trimmed")
         keep = [j for j in range(self.d) if self._facet_contact_dim(j) == self.dim - 1]
         trimmed = PolytopeH(self.dim, [self.halfspaces[j] for j in keep])
         renumber = {j: i for i, j in enumerate(keep)}
-        verts, bounded = self._scan()
         trimmed._scanned, trimmed._irredundant = (tuple(
             VertexData(v.point, tuple(renumber[j] for j in v.active_facets if j in renumber))
             for v in verts), bounded), True

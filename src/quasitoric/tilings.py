@@ -17,9 +17,14 @@ multiplying through by phi once per level: a vertex stored at tree depth k
 means (stored value) * phi^(-k).  Inflation removes tree levels, so it is an
 exact inverse of deflation.
 
-The substitution vertex maps are not taken on faith: once per translation
-class, `deflate` checks the children's shapes, and `verify_patch` the shapes
-and that the children tile the parent exactly, by directed-edge cancellation.
+One table, kept for the life of the process, holds the substitution: for
+each (mode, `tile_key`), the children's kinds and their offsets from the
+lifted apex, made by the mode's rule with every child's shape checked (40
+keys per mode at the seeds' scale).  `deflate` grows from it, and
+`check_children` compares a node's children with it, which is how
+`verify_patch` and `jsonio.parse_patch` accept only trees the substitution
+made.  That the entries tile their parents is checked apart from the rules, by
+directed-edge cancellation in the tests.
 """
 from __future__ import annotations
 
@@ -300,6 +305,64 @@ def tile_key(tile: HalfTile) -> tuple:
     return (tile.kind, p0 - a0, p1 - a1, p2 - a2, p3 - a3, q0 - a0, q1 - a1, q2 - a2, q3 - a3)
 
 
+# The substitution table: (mode, tile_key) -> one (kind, vertex offsets from the lifted
+# apex, table key) per child, in rule order.  Filled once per key for the life of the
+# process.  A child's key holds wherever the child is, so callers pass it down.
+_RULES: dict[tuple, tuple] = {}
+
+
+def substitution(mode: Mode, tile: HalfTile, key: Optional[tuple] = None) -> tuple:
+    """The table entry of `tile`, whose table key is `key` if given.  A key seen
+    first is subdivided by the mode's rule and each child's shape checked
+    before the entry is kept."""
+    if key is None:
+        key = (mode, tile_key(tile))
+    rule = _RULES.get(key)
+    if rule is None:
+        made = (_children_p2 if mode == "p2" else _children_p3)(tile)
+        for c in made:
+            c.check_shape(mode)
+        la = _lift(tile.vertices[0]).c
+        rule = _RULES[key] = tuple(
+            (c.kind, tuple(tuple(x - y for x, y in zip(v.c, la)) for v in c.vertices),
+             (mode, tile_key(c))) for c in made)
+    return rule
+
+
+def check_children(mode: Mode, node: Node, key: Optional[tuple] = None) -> tuple:
+    """The table entry of `node`'s tile (key `key` if given); ValueError unless
+    the node's children are, in order, its children moved by the lifted apex."""
+    rule = substitution(mode, node.tile, key)
+    kids = node.children
+    if len(kids) != len(rule):
+        raise ValueError(f"{len(kids)} children, but the {mode} substitution of the "
+                         f"parent has {len(rule)}")
+    l0, l1, l2, l3 = _lift(node.tile.vertices[0]).c
+    for i, ((kind, (p, q, r), _), kid) in enumerate(zip(rule, kids)):
+        tile = kid.tile
+        a, b1, b2 = tile.vertices
+        if (tile.kind != kind or a.c != (l0 + p[0], l1 + p[1], l2 + p[2], l3 + p[3])
+                or b1.c != (l0 + q[0], l1 + q[1], l2 + q[2], l3 + q[3])
+                or b2.c != (l0 + r[0], l1 + r[1], l2 + r[2], l3 + r[3])):
+            raise ValueError(f"child {i} is not the {mode} substitution of the parent")
+    return rule
+
+
+def verify_patch(patch: Patch) -> None:
+    """Raise ValueError unless every root has its kind's shape and every node's
+    children are the substitution of its tile (`check_children`).  Every other
+    tile then has its shape too: a table entry's children were checked when it
+    was made."""
+    for r in patch.roots:
+        r.tile.check_shape(patch.mode)
+    stack = [(r, None) for r in patch.roots]
+    while stack:
+        node, key = stack.pop()
+        if node.children:
+            rule = check_children(patch.mode, node, key)
+            stack.extend(zip(node.children, [k for _, _, k in rule]))
+
+
 MAX_TILE_LEAVES = 250_000   # `tile` budget: acute seed doubled, depth 12 (242 786) fits
 
 
@@ -321,43 +384,37 @@ def leaf_count(kind: Kind, roots: int, steps: int) -> int:
 def deflate(patch: Patch, steps: int) -> Patch:
     """Apply the substitution `steps` times to every leaf.
 
-    The first tile of each `tile_key` is subdivided and its children's shapes
-    checked; kept as integer offsets from the lifted apex, they serve every
-    later tile with that key.  Rules and points are tabled once per call.
+    Each leaf grows from its `substitution` entry, moved by its lifted apex;
+    points are tabled once per call.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    tables = (patch.mode, {}, {})   # mode, rules by tile_key, points by coefficients
-    return Patch(patch.mode, tuple(_grow(r.tile, r.children, steps, tables) for r in patch.roots),
-                 patch.depth + steps)
+    points: dict[tuple[int, ...], Cyclo] = {}
+    return Patch(patch.mode, tuple(_grow(r.tile, r.children, steps, patch.mode, points)
+                                   for r in patch.roots), patch.depth + steps)
 
 
-def _grow(tile: HalfTile, kids: Optional[tuple[Node, ...]], levels: int, tables: tuple) -> Node:
+def _grow(tile: HalfTile, kids: Optional[tuple[Node, ...]], levels: int, mode: Mode,
+          points: dict[tuple[int, ...], Cyclo], key: Optional[tuple] = None) -> Node:
     """`deflate`'s Node of `tile` over input children `kids` (None for a new
-    tile), leaves substituted `levels` times, one `Cyclo` per point."""
-    mode, rules, points = tables
+    tile, whose table key is `key`), leaves substituted `levels` times, one
+    `Cyclo` per point."""
     if kids is not None:   # an input tile: its points enter the table
         tile = HalfTile(tile.kind, tuple(points.setdefault(v.c, v) for v in tile.vertices))
         if kids:
-            return Node(tile, tuple(_grow(k.tile, k.children, levels, tables) for k in kids))
+            return Node(tile, tuple(_grow(k.tile, k.children, levels, mode, points)
+                                    for k in kids))
     if not levels:
         return Node(tile)
-    la, key = _lift(tile.vertices[0]).c, tile_key(tile)
-    rule = rules.get(key)
-    if rule is None:
-        made = (_children_p2 if mode == "p2" else _children_p3)(tile)
-        for c in made:
-            c.check_shape(mode)
-        rule = rules[key] = tuple((c.kind, tuple(tuple(x - y for x, y in zip(v.c, la))
-                                                 for v in c.vertices)) for c in made)
-    l0, l1, l2, l3 = la
+    l0, l1, l2, l3 = _lift(tile.vertices[0]).c
     grown = []
-    for kind, offsets in rule:
+    for kind, offsets, child_key in substitution(mode, tile, key):
         verts = []
         for o0, o1, o2, o3 in offsets:
             c = (l0 + o0, l1 + o1, l2 + o2, l3 + o3)
             verts.append(points.get(c) or enter_point(points, c))
-        grown.append(_grow(HalfTile(kind, tuple(verts)), None, levels - 1, tables))
+        grown.append(_grow(HalfTile(kind, tuple(verts)), None, levels - 1, mode, points,
+                           child_key))
     return Node(tile, tuple(grown))
 
 
@@ -388,93 +445,6 @@ def inflate(patch: Patch, steps: int) -> Patch:
 
     keep = patch.depth - steps
     return Patch(patch.mode, tuple(truncate(r, keep) for r in patch.roots), keep)
-
-
-# ---------------------------------------------------------------------------
-# Exact verification: children tile the parent
-# ---------------------------------------------------------------------------
-
-
-def _oriented_edges(tile: HalfTile) -> list[tuple[Cyclo, Cyclo]]:
-    a, b1, b2 = tile.vertices
-    cycle = (a, b1, b2) if cross_sign(a, b1, b2) > 0 else (a, b2, b1)
-    return [(cycle[0], cycle[1]), (cycle[1], cycle[2]), (cycle[2], cycle[0])]
-
-
-def _on_segment(p: Cyclo, q: Cyclo, x: Cyclo) -> bool:
-    """x on the closed segment [p, q], decided in the sheared exact plane."""
-    if cross_sign(p, q, x) != 0:
-        return False
-    dpx = (x - p).real() * (q - p).real() + (x - p).imag_scaled() * (q - p).imag_scaled()
-    dq = (q - p).real() * (q - p).real() + (q - p).imag_scaled() * (q - p).imag_scaled()
-    return dpx.sign() >= 0 and (dq - dpx).sign() >= 0
-
-
-def _uncancelled_edges(tiles: Sequence[HalfTile]) -> dict[tuple[Cyclo, Cyclo], int]:
-    """Directed edges of `tiles` left after opposite pairs cancel, with counts."""
-    counts: dict[tuple[Cyclo, Cyclo], int] = {}
-    for t in tiles:
-        for e in _oriented_edges(t):
-            rev = (e[1], e[0])
-            if counts.get(rev, 0) > 0:
-                counts[rev] -= 1
-                if counts[rev] == 0:
-                    del counts[rev]
-            else:
-                counts[e] = counts.get(e, 0) + 1
-    return counts
-
-
-def children_tile_parent(mode: Mode, parent: HalfTile,
-                         children: Sequence[HalfTile]) -> bool:
-    """Edge-cancellation check: the children exactly tile the lifted parent.
-
-    Interior directed edges cancel in opposite pairs; the surviving edges must
-    partition the parent's (lifted) boundary, each parent edge being covered
-    by a contiguous chain with the parent's orientation.
-    """
-    lifted = HalfTile(parent.kind, tuple(_lift(v) for v in parent.vertices))
-    counts = _uncancelled_edges(children)
-    if any(k != 1 for k in counts.values()):
-        return False  # an edge traversed twice in the same direction
-    remaining = list(counts)
-
-    used = [False] * len(remaining)
-    for start, end in _oriented_edges(lifted):
-        cursor = start
-        while cursor != end:
-            step = next((i for i, (u, v) in enumerate(remaining)
-                         if not used[i] and u == cursor and _on_segment(start, end, v)),
-                        None)
-            if step is None:
-                return False
-            used[step] = True
-            cursor = remaining[step][1]
-    return all(used)
-
-
-def verify_patch(patch: Patch) -> None:
-    """Check every tile's shape and that every node's children tile it;
-    raises on failure.  Both checks are translation invariant, so they run
-    once per `tile_key` plus children's kinds and offsets from the lifted apex.
-    """
-    mode = patch.mode
-    passed: set[tuple] = set()
-    stack = list(patch.roots)
-    while stack:
-        node = stack.pop()
-        tile, kids = node.tile, node.children
-        key = tile_key(tile)
-        if kids:
-            la = _lift(tile.vertices[0])
-            key += tuple((c.tile.kind,) + tuple((v - la).c for v in c.tile.vertices)
-                         for c in kids)
-        if key not in passed:
-            tile.check_shape(mode)
-            if kids and not children_tile_parent(mode, tile, [c.tile for c in kids]):
-                raise AssertionError("children do not tile their parent")
-            passed.add(key)
-        stack.extend(kids)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +541,6 @@ def pair_tiles(patch: Patch, mode: Optional[Mode] = None) -> PairReport:
         paired.update(group)
     leftovers = tuple(i for i in range(len(leaves)) if i not in paired)
     return PairReport(tuple(tiles), leftovers)
-
-
-def boundary_edges(patch: Patch) -> list[tuple[Cyclo, Cyclo]]:
-    """Uncancelled directed leaf edges: the boundary of the patch union."""
-    return [e for e, k in _uncancelled_edges(patch.leaves()).items() for _ in range(k)]
 
 
 # ---------------------------------------------------------------------------

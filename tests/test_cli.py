@@ -398,6 +398,38 @@ def test_render_names_the_path_of_a_deep_bad_tile(tmp_path, capsys):
     assert "half-tile is not isosceles" in err
 
 
+def _move_leaf(doc):   # by Cyclo(1): same shape, another place
+    leaf = doc["roots"][0]["children"][1]["children"][0]
+    leaf["vertices"] = [[v[0] + 1] + v[1:] for v in leaf["vertices"]]
+
+
+def _reverse_root_children(doc):
+    doc["roots"][0]["children"].reverse()
+
+
+def _swap_child(doc):  # for a leaf of another parent, of valid shape
+    kids = doc["roots"][0]["children"]
+    kids[0]["children"][0] = dict(kids[1]["children"][0])
+
+
+@pytest.mark.parametrize("fault, path", [
+    (_move_leaf, "$.roots[0].children[1].children: child 0"),
+    (_reverse_root_children, "$.roots[0].children: child 0"),
+    (_swap_child, "$.roots[0].children[0].children: child 0"),
+])
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_render_refuses_children_that_are_not_the_substitution(fault, path, flags, tmp_path,
+                                                               capsys):
+    doc = json.loads(jsonio.dumps_canonical(jsonio.encode_patch(deflate(seed("p2"), 2))))
+    fault(doc)
+    bad, svg = tmp_path / "bad.json", tmp_path / "out.svg"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "render", "--input", str(bad), "--output", str(svg), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"parse error: {path} is not the p2 substitution of the parent\n"
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("argv", [["validate", "--example", "cube", "--format", "json"],
                                   ["tile", "--type", "p2", "--no-such-flag"],
                                   ["render", "--star", "five"],

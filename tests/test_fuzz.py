@@ -2,8 +2,9 @@
 
 Every case must end in exit 0, 1 or 2 with no traceback: no exception leaves
 `main` and stderr holds none.  Every triple that `validate` accepts parses
-again, after a canonical round trip, into a `Triple`.  Standard-library
-`random` with fixed seeds; no hypothesis.
+again, after a canonical round trip, into a `Triple`.  Mutations of a patch
+tree that keep every node well formed must each be refused with a node's
+path.  Standard-library `random` with fixed seeds; no hypothesis.
 """
 import copy
 import json
@@ -78,3 +79,52 @@ def test_mutated_patches_end_in_an_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(mutate(base, rng)))
         codes[_run(capsys, "render", "--input", str(path))] += 1
     assert codes[0] and codes[1], codes
+
+
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1),
+          (0, 0, -1, -1))   # 1, zeta, zeta^2, zeta^3, zeta^4 and phi, up to sign
+
+
+def _nodes(node, path):
+    yield path, node
+    for i, c in enumerate(node["children"]):
+        yield from _nodes(c, path + (i,))
+
+
+def mutate_tree(doc, rng):
+    """A deep copy of the v1 document doc with every node still well formed
+    but one child moved by a ring unit, one child swapped for another tile of
+    the document, or one node's children reversed."""
+    doc = copy.deepcopy(doc)
+    nodes = [n for i, r in enumerate(doc["roots"]) for n in _nodes(r, (i,))]
+    children = [n for path, n in nodes if len(path) > 1]
+    op = rng.randrange(3)
+    if op == 0:
+        node, sign = rng.choice(children), rng.choice((1, -1))
+        unit = rng.choice(_UNITS)
+        node["vertices"] = [[x + sign * u for x, u in zip(v, unit)] for v in node["vertices"]]
+    elif op == 1:
+        node = rng.choice(children)
+        other = rng.choice([n for _, n in nodes if (n["kind"], n["vertices"])
+                            != (node["kind"], node["vertices"])])
+        node["kind"], node["vertices"] = other["kind"], copy.deepcopy(other["vertices"])
+    else:
+        rng.choice([n for _, n in nodes if n["children"]])["children"].reverse()
+    return doc
+
+
+def test_mutated_patch_trees_are_refused_at_a_node_path(tmp_path, capsys):
+    path, svg = tmp_path / "patch.json", tmp_path / "out.svg"
+    rng = random.Random(11)
+    for mode, kind in (("p2", "acute"), ("p3", "obtuse")):
+        assert _run(capsys, "tile", "--type", mode, "--seed", kind, "--steps", "3",
+                    "--doubled", "--output", str(path)) == 0
+        base = json.loads(path.read_text())
+        assert _run(capsys, "render", "--input", str(path), "--output", str(svg)) == 0
+        svg.unlink()
+        for _ in range(40):
+            path.write_text(json.dumps(mutate_tree(base, rng)))
+            code = main(["render", "--input", str(path), "--output", str(svg)])
+            err = capsys.readouterr().err
+            assert code == 1 and err.startswith("parse error: $.roots["), err
+            assert not svg.exists()

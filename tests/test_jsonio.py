@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from quasitoric import jsonio
+from quasitoric import jsonio, tilings
 from quasitoric.cli import main
 from quasitoric.tilings import HalfTile, Patch, deflate, mirror_double, seed
 
@@ -127,7 +127,7 @@ def test_tile_writes_the_encoded_patch(mode, kind, doubled, tmp_path):
 
 @pytest.mark.parametrize("mode, kind, doubled", SEEDS)
 def test_decoded_patches_re_emit_the_tile_bytes(mode, kind, doubled):
-    for depth in range(6):
+    for depth in range(7):
         text = _tile_text(mode, kind, doubled, depth)
         for patch in (_hooked(text), jsonio.parse_patch(json.loads(text))):
             assert jsonio.dumps_canonical(jsonio.encode_patch(patch)) == text
@@ -141,8 +141,15 @@ def test_shapes_are_checked_once_per_distinct_key(monkeypatch):
     check = HalfTile.check_shape
     monkeypatch.setattr(HalfTile, "check_shape",
                         lambda tile, mode: calls.append(tile) or check(tile, mode))
+    table = {}
+    monkeypatch.setattr(tilings, "_RULES", table)
     _hooked(text)
-    assert 0 < len(calls) <= 40     # 2 kinds x 10 directions x 2 chiralities
+    # the two roots, then the children of each table entry as it is made
+    assert len(calls) == 2 + sum(len(rule) for rule in table.values())
+    assert 0 < len(table) <= 40     # 2 kinds x 10 directions x 2 chiralities
+    calls.clear()
+    _hooked(text)                   # the table outlives the document: the roots only
+    assert len(calls) == 2
 
 
 def _leaf(doc):
@@ -191,6 +198,10 @@ def _fault_shape(doc):
     _leaf(doc)["vertices"] = [a, b1, [2 * x - y for x, y in zip(b2, a)]]
 
 
+def _fault_reordered(doc):
+    doc["roots"][0]["children"][1]["children"].reverse()
+
+
 LEAF = "$.roots[0].children[1].children[0]"
 
 
@@ -208,6 +219,8 @@ LEAF = "$.roots[0].children[1].children[0]"
     (_fault_deep_node, LEAF, "node with children at tree depth 2, but every leaf must sit "
                              "at depth 2"),
     (_fault_shape, LEAF + ".vertices", "obtuse half-tile is not isosceles"),
+    (_fault_reordered, "$.roots[0].children[1].children",
+     "child 0 is not the p2 substitution of the parent"),
 ])
 def test_both_entry_points_report_a_fault_alike(fault, path, message):
     doc = jsonio.encode_patch(deflate(seed("p2"), 2))

@@ -127,6 +127,18 @@ def test_redundant_facet_detected():
     assert keep == [0, 1, 2, 3]
 
 
+def test_drop_redundant_refuses_what_it_cannot_trim():
+    # the bounded segment 0 <= x <= 1, y = 0: not full-dimensional, and a trimmed
+    # copy keeping only its two y facets would be a whole line
+    segment = PolytopeH(2, [HalfSpace(kv(0, 1), fe(0)), HalfSpace(kv(0, -1), fe(0)),
+                            HalfSpace(kv(1, 0), fe(0)), HalfSpace(kv(-1, 0), fe(-1))])
+    assert segment.is_bounded() and len(segment.vertices()) == 2
+    unbounded = PolytopeH(2, [HalfSpace(kv(1, 0), fe(0)), HalfSpace(kv(0, 1), fe(0))])
+    for p in (segment, unbounded):
+        with pytest.raises(ValueError, match="bounded full-dimensional"):
+            p.drop_redundant()
+
+
 def test_cut_interval_at_half():
     from fractions import Fraction
     p = PolytopeH(1, [HalfSpace(kv(1), fe(0)), HalfSpace(kv(-1), fe(-1))])

@@ -6,11 +6,12 @@ import pytest
 from quasitoric import tilings
 from quasitoric.field import fe, phi
 from quasitoric.tilings import (Cyclo, HalfTile, InflateError, MAX_TILE_LEAVES,
-                                Node, PHI_C, Patch, ROT36, boundary_edges,
-                                children_tile_parent, deflate, inflate,
+                                Node, PHI_C, Patch, ROT36, deflate, inflate,
                                 leaf_count, mirror_double, mirror_mate, pair_tiles,
                                 render_star, render_svg, seed, tile_key, tile_triple,
-                                verify_patch, _lift, _on_segment)
+                                verify_patch, _lift)
+
+from edges import boundary_edges, children_tile_parent, on_segment
 
 
 # -- ring ---------------------------------------------------------------------
@@ -128,6 +129,7 @@ def _nodes(node):
 
 
 def test_deflate_checks_the_translation_class_of_every_created_child(monkeypatch):
+    monkeypatch.setattr(tilings, "_RULES", {})   # an empty table: every entry is made here
     checked = set()
     check = HalfTile.check_shape
     monkeypatch.setattr(HalfTile, "check_shape",
@@ -135,11 +137,14 @@ def test_deflate_checks_the_translation_class_of_every_created_child(monkeypatch
     for mode in ("p2", "p3"):
         for kind in ("acute", "obtuse"):
             start = mirror_double(seed(mode, kind))
-            checked.clear()
             patch = deflate(start, 4)
             created = {tile_key(n.tile) for r in patch.roots for n in _nodes(r)
                        if n is not r}
             assert created and created <= checked
+    start = mirror_double(seed("p3", "obtuse"))
+    checked.clear()                             # the table is kept: no check is repeated
+    deflate(start, 4)
+    assert not checked
 
 
 def test_deflate_refuses_a_rule_with_a_wrong_shaped_child(monkeypatch):
@@ -153,6 +158,7 @@ def test_deflate_refuses_a_rule_with_a_wrong_shaped_child(monkeypatch):
         return (HalfTile(kids[0].kind, (a, b1 + Cyclo(1), b2)),) + kids[1:]
 
     monkeypatch.setattr(tilings, "_children_p2", bad)
+    monkeypatch.setattr(tilings, "_RULES", {})
     deflate(seed("p2", "acute"), 1)     # no obtuse tile is subdivided yet
     with pytest.raises(ValueError, match="p2 obtuse|not isosceles"):
         deflate(seed("p2", "acute"), 3)
@@ -245,8 +251,8 @@ def _per_node_verdict(patch):
             node.tile.check_shape(patch.mode)
         except ValueError:
             return False
-        if node.children and not children_tile_parent(
-                patch.mode, node.tile, [c.tile for c in node.children]):
+        if node.children and not children_tile_parent(node.tile,
+                                                      [c.tile for c in node.children]):
             return False
         return all(ok(c) for c in node.children)
     return all(ok(r) for r in patch.roots)
@@ -293,9 +299,12 @@ def test_verify_patch_catches_a_child_corrupted_deep_down():
 
 
 def test_verify_patch_agrees_with_a_per_node_walk_on_mutations():
+    """`verify_patch` accepts only the unmutated patch, and never a patch the
+    edge-cancellation walk rejects.  The walk is weaker: a child with its base
+    vertices swapped still covers the same triangle."""
     rng = random.Random(20261018)
     deltas = (Cyclo(), Cyclo(1), Cyclo(0, -1), Cyclo(0, 0, 1), PHI_C, -ROT36)
-    seen = set()
+    seen, oracle_only = set(), 0
     for mode in ("p2", "p3"):
         for kind in ("acute", "obtuse"):
             patch = deflate(seed(mode, kind), 5)
@@ -310,42 +319,79 @@ def test_verify_patch_agrees_with_a_per_node_walk_on_mutations():
                     verts[i] = verts[i] + rng.choice(deltas)
                 tile = HalfTile(node.tile.kind, tuple(verts))
                 mutated = Patch(mode, (_replaced(patch.roots[0], path, tile),), patch.depth)
-                verdict = _verdict(mutated)
-                assert verdict == _per_node_verdict(mutated)
+                verdict, oracle = _verdict(mutated), _per_node_verdict(mutated)
+                assert verdict == (tile == node.tile)
+                assert oracle or not verdict
+                oracle_only += oracle and not verdict
                 seen.add(verdict)
-    assert seen == {True, False}
+    assert seen == {True, False} and oracle_only
 
 
 def test_verify_patch_checks_each_translation_class_once(monkeypatch):
     calls = []
-    check = tilings.children_tile_parent
-    monkeypatch.setattr(tilings, "children_tile_parent",
-                        lambda *args: calls.append(args) or check(*args))
+    for name in ("_children_p2", "_children_p3"):
+        rule = getattr(tilings, name)
+        monkeypatch.setattr(tilings, name, lambda t, rule=rule: calls.append(tile_key(t)) or rule(t))
     for mode in ("p2", "p3"):
         patch = deflate(mirror_double(seed(mode, "acute")), 6)
-        classes = set()
-        for r in patch.roots:
-            for node in _nodes(r):
-                if node.children:   # parent lifted, everything moved by its lifted apex
-                    base = _lift(node.tile.vertices[0])
-                    parent = tuple((_lift(v) - base).c for v in node.tile.vertices)
-                    classes.add((node.tile.kind, parent) + tuple(
-                        (c.tile.kind, tuple((v - base).c for v in c.tile.vertices))
-                        for c in node.children))
+        classes = {tile_key(n.tile) for r in patch.roots for n in _nodes(r) if n.children}
+        monkeypatch.setattr(tilings, "_RULES", {})
         calls.clear()
         verify_patch(patch)
-        assert 0 < len(calls) <= len(classes) <= 40
+        assert sorted(calls) == sorted(classes) and len(classes) <= 40
+        calls.clear()
+        verify_patch(patch)                     # the table outlives the call
+        assert not calls
+
+
+SEEDS = [(mode, kind, doubled) for mode in ("p2", "p3") for kind in ("acute", "obtuse")
+         for doubled in (False, True)]
+
+
+def _check_entries(table):
+    """Every entry of `table` by its own shapes and by edge cancellation: the
+    parent rebuilt from its key with the apex at 0 (so the lifted apex is 0
+    too), the children read straight from the offsets.  Each child's stored
+    key is its own."""
+    for (mode, (kind, *diffs)), rule in table.items():
+        parent = HalfTile(kind, (Cyclo(), Cyclo(*diffs[:4]), Cyclo(*diffs[4:])))
+        children = [HalfTile(k, tuple(Cyclo(*o) for o in offsets)) for k, offsets, _ in rule]
+        for t in [parent] + children:
+            t.check_shape(mode)
+        assert children_tile_parent(parent, children), (mode, kind, diffs)
+        assert [key for _, _, key in rule] == [(mode, tile_key(c)) for c in children]
+
+
+def test_every_table_entry_tiles_its_parent(monkeypatch):
+    table = {}
+    monkeypatch.setattr(tilings, "_RULES", table)
+    for mode, kind, doubled in SEEDS:
+        start = seed(mode, kind)
+        deflate(mirror_double(start) if doubled else start, 6)
+    assert sorted(mode for mode, _key in table) == ["p2"] * 40 + ["p3"] * 40
+    _check_entries(table)
+    # check_shape accepts any scale: a root rotated by zeta and scaled by phi
+    # reaches entries of its own
+    table.clear()
+    for mode, kind, doubled in SEEDS:
+        tile = seed(mode, kind).roots[0].tile
+        moved = HalfTile(kind, tuple(v * Cyclo.zeta(1) * PHI_C for v in tile.vertices))
+        start = Patch(mode, (Node(moved),), 0)
+        verify_patch(start)
+        verify_patch(deflate(mirror_double(start) if doubled else start, 6))
+    assert table
+    _check_entries(table)
 
 
 def test_edge_cancellation_rejects_corruption():
     s = deflate(seed("p2", "acute"), 1)
     parent = s.roots[0].tile
     children = [c.tile for c in s.roots[0].children]
-    assert children_tile_parent("p2", parent, children)
-    assert not children_tile_parent("p2", parent, children[:-1])
+    assert children_tile_parent(parent, children)
+    assert not children_tile_parent(parent, children[:-1])
     shifted = HalfTile(children[0].kind,
                        tuple(v + Cyclo(1) for v in children[0].vertices))
-    assert not children_tile_parent("p2", parent, [shifted] + children[1:])
+    assert not children_tile_parent(parent, [shifted] + children[1:])
 
 
 def test_inflate_inverts_deflate():
@@ -430,7 +476,7 @@ def test_depth_three_pairing_leftovers_on_boundary():
     bnd = boundary_edges(patch)
 
     def on_boundary(p, q):
-        return any(_on_segment(u, v, p) and _on_segment(u, v, q) for u, v in bnd)
+        return any(on_segment(u, v, p) and on_segment(u, v, q) for u, v in bnd)
 
     for i in rep.leftovers:
         assert on_boundary(*leaves[i].glue_edge(patch.mode))
