@@ -10,9 +10,10 @@ certified in Q), this module computes:
     the component group, and the component group's invariant factors;
   * one chart per vertex, with exact domain inequalities and the countable
     chart group acting by angles mod Z^n.  At a simple vertex the n active
-    normals form a basis, so both come from one inverse: the coordinates in
-    the basis dual to the active normals.  (The chart map's filled-slot
-    records are a JSON-only view of the domain rows, written by
+    normals form a basis, so both are coordinates in that basis: of the other
+    facet normals (negated) and of the generators (mod 1), read off one
+    fraction-free elimination over Z[sqrt D] per vertex.  (The chart map's
+    filled-slot records are a JSON-only view of the domain rows, written by
     :func:`quasitoric.jsonio.encode_charts`.)
   * a classification (manifold / orbifold / quasifold, or a structured refusal
     for nonsimple input).
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import FieldElem, KMatrix, KVector
+from .field import FieldElem, KMatrix, KVector, _eliminate, _integer_rows, _over
 from .intlattice import AbelianGroupInvariants, int_solve
 from .polytope import PolytopeH, VertexData, cut_with_maps
 from .quasilattice import (Quasilattice, certify, combination, is_discrete,
@@ -76,10 +77,6 @@ class Triple:
     @property
     def levels(self) -> list[FieldElem]:
         return [h.level for h in self.polytope.halfspaces]
-
-    def projection(self) -> KMatrix:
-        """The n x d matrix with the facet normals as columns."""
-        return KMatrix.from_columns(self.normals)
 
     def ensure_valid(self) -> None:
         """Raise unless the polytope is bounded, full-dimensional and simple."""
@@ -168,18 +165,9 @@ def _in_normal_span(triple: Triple, target: KVector) -> bool:
     return int_solve(mat, rhs, ncols=triple.polytope.d) is not None
 
 
-def torus_classes_equal(triple: Triple, theta1: KVector, theta2: KVector) -> bool:
-    """Whether theta1 == theta2 inside R^d / (Z^d + exp-kernel directions).
-
-    Equivalent to pi(theta1 - theta2) lying in the Z-span of the normals.
-    """
-    diff = triple.projection().matvec(theta1 - theta2)
-    return _in_normal_span(triple, diff)
-
-
 def build_presentation(triple: Triple) -> Presentation:
     triple.ensure_valid()
-    pi = triple.projection()
+    pi = KMatrix(zip(*triple.normals))   # n x d, the facet normals as columns
     d, n = triple.polytope.d, triple.polytope.dim
     kernel = pi.kernel_basis()
     assert len(kernel) == d - n
@@ -191,7 +179,7 @@ def build_presentation(triple: Triple) -> Presentation:
         pivots.append(piv)
 
     rows = []
-    zero = FieldElem(0, 0, pi.d)
+    zero = triple.levels[0].zero()
     for row in kernel:
         if row.is_zero():
             raise AssertionError("internal invariant breach: zero level row")
@@ -220,27 +208,32 @@ def build_presentation(triple: Triple) -> Presentation:
 
 def build_charts(triple: Triple) -> list[Chart]:
     triple.ensure_valid()
+    poly, d = triple.polytope, triple.polytope.field_d
+    n, normals, generators = poly.dim, triple.normals, triple.lattice.generators
     charts = []
-    for vertex in triple.polytope.vertices():
+    for vertex in poly.vertices():
         active = vertex.active_facets
-        a = KMatrix.from_vectors([triple.normals[j] for j in active])
-        # row k of coords is the dual basis vector u_k, <u_k, X_{active[l]}> = delta_{kl};
-        # coords.matvec(x) gives the coordinates of x in the active normals
-        coords = a.transpose().inverse()
+        inactive = [j for j in range(poly.d) if j not in active]
+        # [A^T | X_j for the inactive j | every generator], A^T nonsingular: column
+        # c >= n of the elimination over its last pivot delta holds the coordinates
+        # of that vector in the basis of the active normals
+        columns = [normals[j] for j in (*active, *inactive)] + list(generators)
+        m, _pivots, delta = _eliminate(_integer_rows(zip(*columns)), d)
+        minus = (-delta[0], -delta[1])   # domain rows are the negated coordinates
 
         domain = []
-        for j in sorted(set(range(triple.polytope.d)) - set(active)):
-            h = triple.polytope.halfspaces[j]
-            bound = h.slack(vertex.point)
+        for c, j in enumerate(inactive, n):
+            bound = poly.halfspaces[j].slack(vertex.point)
             if bound.sign() <= 0:
                 raise AssertionError("internal invariant breach: non-positive bound")
-            domain.append(DomainIneq(j, -coords.matvec(h.normal), bound))
+            domain.append(DomainIneq(j, KVector([_over(m[i][c], minus, d) for i in range(n)], d),
+                                     bound))
 
         gens = []
-        for gen in triple.lattice.generators:
-            angles = KVector([x.mod1() for x in coords.matvec(gen)], d=a.d)
-            # the coordinates are unique, so gen lies in the Z-span of the
-            # active normals exactly when they are all integers
+        for c in range(n + len(inactive), len(columns)):
+            angles = KVector([_over(m[i][c], delta, d).mod1() for i in range(n)], d)
+            # the coordinates are unique, so the generator lies in the Z-span of
+            # the active normals exactly when they are all integers
             if not angles.is_zero():
                 gens.append(angles)
 

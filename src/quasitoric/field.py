@@ -169,9 +169,6 @@ class FieldElem:
             return NotImplemented
         return o * self.inverse()
 
-    def conjugate(self) -> "FieldElem":
-        return _make(self._p, -self._q, self._r, self._d)
-
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -341,6 +338,13 @@ def _eliminate(rows: list[list[_Pair]], d: int) -> tuple[list[list[_Pair]], list
     return m, pivots, (pc, pe)
 
 
+def _over(num: _Pair, den: _Pair, d: int) -> FieldElem:
+    """(x + y*sqrt d) / (c + e*sqrt d) for pairs num = (x, y), den = (c, e) != 0:
+    times the conjugate of den, over its norm."""
+    (x, y), (c, e) = num, den
+    return _make(x * c - y * e * d, y * c - x * e, c * c - e * e * d, d)
+
+
 class KVector:
     """Immutable dense vector with entries in one quadratic field."""
 
@@ -400,10 +404,12 @@ class KVector:
 class KMatrix:
     """Immutable dense matrix over one quadratic field.
 
-    Rank, echelon form, kernel, solving and inverse all read one fraction-free
+    Rank, echelon form, kernel and solving all read one fraction-free
     elimination of the rows over Z[sqrt D] (`_eliminate`); the reduced echelon
     form (leftmost pivots, pivots = 1) is the canonical form used throughout
-    the package.
+    the package.  Code that needs more than these answers (vertex points,
+    chart coordinates) calls `_eliminate` itself and converts the pairs it
+    reads with `_over`.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "d")
@@ -434,26 +440,8 @@ class KMatrix:
     def from_vectors(cls, vecs: Sequence[KVector]) -> "KMatrix":
         return cls([v.entries for v in vecs])
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[KVector]) -> "KMatrix":
-        n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
-
-    @classmethod
-    def identity(cls, n: int, d: int = 0) -> "KMatrix":
-        one, zero = FieldElem(1, 0, d), FieldElem(0, 0, d)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def row(self, i: int) -> KVector:
         return KVector(self.rows[i], self.d)
-
-    def transpose(self) -> "KMatrix":
-        return KMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)], ncols=self.nrows, d=self.d)
-
-    def matvec(self, v: KVector) -> KVector:
-        return KVector([self.row(i).dot(v) for i in range(self.nrows)],
-                       self.d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KMatrix):
@@ -473,13 +461,11 @@ class KMatrix:
     def _rref(self) -> tuple[list[list[FieldElem]], list[int]]:
         """Pivot rows of the reduced row echelon form, and their pivot columns."""
         d = self.d
-        m, pivots, (c, e) = _eliminate(_integer_rows(self.rows), d)
-        zero, one, norm = _make(0, 0, 1, d), _make(1, 0, 1, d), c * c - e * e * d
+        m, pivots, delta = _eliminate(_integer_rows(self.rows), d)
+        zero, one = _make(0, 0, 1, d), _make(1, 0, 1, d)
         stale = set(pivots)   # other rows' pivot columns hold no current entry
-        # a free column's x + y*sqrt d over delta = c + e*sqrt d: times its conjugate, over norm
-        return [[one if j == p else zero if j in stale
-                 else _make(x * c - y * e * d, y * c - x * e, norm, d)
-                 for j, (x, y) in enumerate(m[i])] for i, p in enumerate(pivots)], pivots
+        return [[one if j == p else zero if j in stale else _over(x, delta, d)
+                 for j, x in enumerate(m[i])] for i, p in enumerate(pivots)], pivots
 
     def rref(self) -> "KMatrix":
         return KMatrix(self._rref()[0], ncols=self.ncols, d=self.d)
@@ -524,18 +510,3 @@ class KMatrix:
         for i, p in enumerate(pivots):
             x[p] = m[i][self.ncols]
         return KVector(x, self.d), self._kernel(m, pivots)
-
-    def inverse(self) -> "KMatrix":
-        """A^-1 of a square matrix, from one elimination of [A | I].
-
-        Raises ZeroDivisionError when A is singular.
-        """
-        n = self.nrows
-        if self.ncols != n:
-            raise ValueError("inverse of a non-square matrix")
-        eye = KMatrix.identity(n, self.d).rows
-        aug = KMatrix([r + e for r, e in zip(self.rows, eye)], ncols=2 * n, d=self.d)
-        m, pivots = aug._rref()
-        if pivots != list(range(n)):
-            raise ZeroDivisionError("inverse of a singular matrix")
-        return KMatrix([r[n:] for r in m], ncols=n, d=self.d)

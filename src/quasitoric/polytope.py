@@ -3,7 +3,8 @@
 A polytope is a finite intersection of half-spaces { mu : <mu, X_j> >= lambda_j }
 with inward-pointing normals X_j and levels lambda_j in a fixed quadratic
 field Q(sqrt D).  Every decision is exact, in Z[sqrt D] integers (`field._integer_rows`,
-then the fraction-free `field._eliminate` that `KMatrix` also uses).  One scan over the
+then the fraction-free `field._eliminate` that `KMatrix` and the vertex charts also use);
+only the vertex points become field elements, by `field._over`.  One scan over the
 homogenized cone { (mu, t) : <mu, X_j> >= lambda_j t, t >= 0 } gives the vertices, its
 extreme rays with t > 0, and boundedness: no extreme ray with t = 0 (Avis-Fukuda 1992;
 Fukuda-Prodon 1996).  Affine dimensions are the ranks of the rows (point, 1), minus one.
@@ -15,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import FieldElem, FieldMixError, KVector, _eliminate, _integer_rows, _make, _sign
+from .field import (FieldElem, FieldMixError, KVector, _eliminate, _integer_rows, _make, _over,
+                    _sign)
 
 
 class DegenerateCutError(ValueError):
@@ -162,9 +164,7 @@ class PolytopeH:
                     continue
                 if not set(subset) <= set(key):
                     raise ArithmeticError(f"subset {subset} not active at its own point")
-                (c, e), norm = y[n], y[n][0] ** 2 - y[n][1] ** 2 * d   # x_i = N_i / delta
-                point = KVector([_make(x * c - z * e * d, z * c - x * e, norm, d)
-                                 for x, z in y[:n]], d)
+                point = KVector([_over(x, y[n], d) for x in y[:n]], d)   # x_i = N_i / t
                 seen[key] = VertexData(point, key)
         verts = tuple(sorted(seen.values(), key=lambda v: tuple(v.point)))  # exact order
         self._scanned = verts, bounded

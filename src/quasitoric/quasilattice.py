@@ -8,11 +8,10 @@ normal-form machinery in :mod:`quasitoric.intlattice`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .field import FieldElem, KMatrix, KVector
+from .field import KMatrix, KVector
 from .intlattice import (AbelianGroupInvariants, IntMatrix, IntVector,
                          int_solve, integer_kernel, snf)
 
@@ -49,19 +48,18 @@ def split_target(x: KVector, vectors: Sequence[KVector], dim: int,
 
     Row block 1 holds the rational parts of each coordinate, block 2 the
     sqrt(D) parts (all zero when D = 0); each row and its target share one
-    denominator-clearing scale, so integer solutions are preserved exactly.
+    scale, the lcm of the parts' reduced denominators, so integer solutions are
+    preserved exactly.  The parts are read as integers off each (p + q*sqrt D) / r.
     """
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for i in range(dim):
-        rows.append(([v[i].a for v in vectors], x[i].a))
-    for i in range(dim):
-        rows.append(([v[i].b for v in vectors], x[i].b))
     mat: IntMatrix = []
     rhs: IntVector = []
-    for coeffs, t in rows:
-        den = lcm(t.denominator, *(f.denominator for f in coeffs))
-        mat.append([int(f * den) for f in coeffs])
-        rhs.append(int(t * den))
+    for part in ("_p", "_q"):
+        for i in range(dim):
+            row = [(getattr(e, part), e._r) for e in (*(v[i] for v in vectors), x[i])]
+            den = lcm(*(r // gcd(a, r) for a, r in row))   # a / r has denominator r / gcd
+            *coeffs, t = (a * den // r for a, r in row)
+            mat.append(coeffs)
+            rhs.append(t)
     return mat, rhs
 
 
@@ -85,8 +83,7 @@ def certify(q: Quasilattice, x: KVector) -> IntVector:
 
 def combination(q: Quasilattice, coefficients: Sequence[int]) -> KVector:
     """The quasilattice element sum_i coefficients[i] * generator[i]."""
-    zero = FieldElem(0, 0, q.field_d)
-    acc = KVector([zero] * q.dim, d=q.field_d)
+    acc = KVector([q.generators[0][0].zero()] * q.dim, d=q.field_d)
     for c, g in zip(coefficients, q.generators, strict=True):
         if c:
             acc = acc + g.scale(c)
@@ -101,8 +98,8 @@ def relation_lattice(q: Quasilattice) -> tuple[tuple[int, ...], ...]:
     """
     rows = q.__dict__.get("_relations")
     if rows is None:
-        zero = FieldElem(0, 0, q.field_d)
-        mat, _ = split_target(KVector([zero] * q.dim, d=q.field_d), q.generators, q.dim)
+        zero = KVector([q.generators[0][0].zero()] * q.dim, d=q.field_d)
+        mat, _ = split_target(zero, q.generators, q.dim)
         rows = tuple(map(tuple, integer_kernel(mat, q.m)))
         object.__setattr__(q, "_relations", rows)   # a cache, not a field
     return rows

@@ -1,11 +1,15 @@
 """Reference linear algebra over a quadratic field, used only by the tests.
 
 Textbook Gauss-Jordan elimination on `FieldElem` entries, one inverse per
-pivot.  `KMatrix` reads every answer off one fraction-free elimination over
-Z[sqrt D]; these functions give the same answers the slow, obvious way.
-Matrices are lists of rows; vectors are lists.
+pivot.  `KMatrix`, `build_charts` and `split_target` read every answer off
+fraction-free integer arithmetic over Z[sqrt D]; these functions give the same
+answers the slow, obvious way, through `Fraction`.  Matrices are lists of rows;
+vectors are lists, except where a function says otherwise.
 """
-from quasitoric.field import FieldElem
+from math import lcm
+
+from quasitoric.field import FieldElem, KMatrix, KVector
+from quasitoric.intlattice import int_solve
 
 
 def rref(rows, ncols):
@@ -61,3 +65,32 @@ def inverse(rows, d):
     if pivots != list(range(n)):
         raise ZeroDivisionError("inverse of a singular matrix")
     return [r[n:] for r in m]
+
+
+def matvec(a, v):
+    """A v for a KMatrix A and a KVector v, as a KVector."""
+    return KVector([sum((x * y for x, y in zip(r, v, strict=True)), FieldElem(0, 0, a.d))
+                    for r in a.rows], a.d)
+
+
+def split_target(x, vectors, dim):
+    """Integer system (mat, rhs) of sum_i c_i vectors[i] == x: per coordinate a
+    row of rational parts, then one of sqrt(D) parts, each row times the lcm of
+    its entries' denominators."""
+    rows = [([v[i].a for v in vectors], x[i].a) for i in range(dim)]
+    rows += [([v[i].b for v in vectors], x[i].b) for i in range(dim)]
+    mat, rhs = [], []
+    for coeffs, t in rows:
+        den = lcm(t.denominator, *(f.denominator for f in coeffs))
+        mat.append([int(f * den) for f in coeffs])
+        rhs.append(int(t * den))
+    return mat, rhs
+
+
+def torus_classes_equal(triple, theta1, theta2):
+    """Whether theta1 == theta2 inside R^d / (Z^d + exp-kernel directions):
+    pi(theta1 - theta2) lies in the Z-span of the facet normals, pi being the
+    n x d matrix with the normals as columns."""
+    n, d = triple.polytope.dim, triple.polytope.d
+    diff = matvec(KMatrix(zip(*triple.normals)), theta1 - theta2)
+    return int_solve(*split_target(diff, triple.normals, n), ncols=d) is not None

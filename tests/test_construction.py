@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from quasitoric import jsonio
+from quasitoric import construction, jsonio
 from quasitoric.cli import main
 from quasitoric.construction import (NonsimpleTripleError,
                                      Triple, build_charts, build_presentation,
                                      classify, cut_and_present, emit_report,
-                                     format_field_elem, torus_classes_equal)
+                                     format_field_elem)
 from quasitoric.examples import (cube, dodecahedron, get_example, kite,
                                  kite_axis_cut, octahedron, orbisphere,
                                  quasisphere, sphere, tetrahedron)
@@ -17,6 +17,7 @@ from quasitoric.intlattice import hnf_basis, int_solve
 from quasitoric.polytope import HalfSpace, PolytopeH
 from quasitoric.quasilattice import Quasilattice, split_target, z_rank
 
+from fieldmatrix import inverse, matvec, torus_classes_equal
 from halves import SIMPLE_EXAMPLES, seeded_halves
 
 
@@ -144,6 +145,61 @@ def test_kite_chart_finiteness_matches_rational_angles():
         assert finite == rational_angles
 
 
+def _simple_triples_and_halves(seed):
+    """Every simple example, then both halves of three seeded cuts of each."""
+    rng = random.Random(seed)
+    examples = [get_example(name) for name in SIMPLE_EXAMPLES]
+    return examples + [half for t in examples for half in seeded_halves(t, rng)]
+
+
+def test_chart_coordinates_match_the_reference_inverse():
+    # a chart's domain rows are minus the coordinates of the inactive normals in
+    # the basis of the active ones, and its angles are the generators' coordinates
+    # mod 1 with the all-integer ones left out: coordinates by the textbook inverse
+    checked = 0
+    for t in _simple_triples_and_halves(5151):
+        d = t.polytope.field_d
+        for chart in build_charts(t):
+            active = [t.normals[j] for j in chart.active]
+            coords = KMatrix(inverse(list(zip(*active)), d))
+            inactive = [j for j in range(t.polytope.d) if j not in chart.active]
+            assert [ineq.facet for ineq in chart.domain_ineqs] == inactive
+            for ineq in chart.domain_ineqs:
+                assert ineq.coefficients == -matvec(coords, t.normals[ineq.facet])
+                assert ineq.bound == t.polytope.halfspaces[ineq.facet].slack(chart.vertex.point)
+            angles = [KVector([x.mod1() for x in matvec(coords, g)], d)
+                      for g in t.lattice.generators]
+            assert list(chart.group_gens) == [a for a in angles if not a.is_zero()]
+            checked += 1
+    assert checked > 300
+
+
+def test_build_charts_eliminates_once_per_vertex(monkeypatch):
+    calls = []
+    eliminate = construction._eliminate
+    monkeypatch.setattr(construction, "_eliminate",
+                        lambda rows, d: calls.append(d) or eliminate(rows, d))
+    for t in _simple_triples_and_halves(6161):
+        calls.clear()
+        charts = build_charts(t)
+        assert len(calls) == len(charts) == len(t.polytope.vertices())
+
+
+def test_presentations_and_charts_make_no_fraction(monkeypatch):
+    # field elements on the construction path come from integer pairs, never
+    # through Fraction; parsing and report text may still use it
+    triples = _simple_triples_and_halves(7171)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs))
+    for t in triples:
+        build_presentation(t)
+        build_charts(t)
+    monkeypatch.undo()
+    assert made == []
+
+
 def test_chart_generators_against_integer_membership():
     # independent route: a generator is left out of group_gens exactly when
     # the integer system of the active normals has a solution, and the angles
@@ -156,7 +212,7 @@ def test_chart_generators_against_integer_membership():
             n = triple.polytope.dim
             for chart in build_charts(triple):
                 normals = [triple.normals[j] for j in chart.active]
-                at = KMatrix.from_columns(normals)
+                at = KMatrix(zip(*normals))
                 expected = []
                 for gen in triple.lattice.generators:
                     cert = int_solve(*split_target(gen, normals, n), ncols=n)
@@ -264,10 +320,10 @@ def test_kernel_orthogonality_everywhere():
     for name in ("quasisphere", "kite", "thick_rhombus", "thin_rhombus",
                  "cube", "tetrahedron", "prolate_rhombohedron"):
         t = get_example(name)
-        pi = t.projection()
+        pi = KMatrix(zip(*t.normals))
         pres = build_presentation(t)
         for g in pres.cont_gens:
-            assert pi.matvec(g).is_zero()
+            assert matvec(pi, g).is_zero()
         for row in pres.level_rows:
             acc = fe(0, 0, row.constant.d)
             for c, lam in zip(row.coefficients, t.levels):

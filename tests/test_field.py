@@ -144,12 +144,12 @@ def test_solve_quasisphere_direction():
     a = KMatrix([[p, fe(-1, 0, 5)]])
     part, kernel = a.solve(KVector([fe(0, 0, 5)]))
     assert kernel == [KVector([fe(1, 0, 5), p])]
-    assert a.matvec(part).is_zero()
+    assert fieldmatrix.matvec(a, part).is_zero()
 
 
 def test_solve_identity():
     p = phi()
-    i2 = KMatrix.identity(2, 5)
+    i2 = KMatrix([[fe(1, 0, 5), fe(0, 0, 5)], [fe(0, 0, 5), fe(1, 0, 5)]])
     part, kernel = i2.solve(KVector([fe(1, 0, 5), p]))
     assert part == KVector([fe(1, 0, 5), p])
     assert kernel == []
@@ -160,7 +160,7 @@ def test_solve_all_ones_row():
     part, kernel = a.solve(KVector([fe(0, 0, 5)]))
     assert len(kernel) == 4
     for v in kernel:
-        assert a.matvec(v).is_zero()
+        assert fieldmatrix.matvec(a, v).is_zero()
 
 
 def test_solve_inconsistent():
@@ -178,7 +178,7 @@ def test_rank_examples():
     assert KMatrix(rows).rank() == 2
     stacked = rows + [[fe(-1, 0, 5), one, z, p], [p, z, one, fe(-1, 0, 5)]]
     assert KMatrix(stacked).rank() == 2
-    assert KMatrix(rows).transpose().rank() == 2
+    assert KMatrix(zip(*rows)).rank() == 2
 
 
 def test_solve_resubstitution_random():
@@ -191,9 +191,9 @@ def test_solve_resubstitution_random():
         if res is None:
             continue
         part, kernel = res
-        assert a.matvec(part) == b
+        assert fieldmatrix.matvec(a, part) == b
         for v in kernel:
-            assert a.matvec(v).is_zero()
+            assert fieldmatrix.matvec(a, v).is_zero()
         assert len(kernel) == n - a.rank()
         assert kernel == a.kernel_basis()
     # rank-deficient square inputs: the last row combines the others and the
@@ -206,8 +206,9 @@ def test_solve_resubstitution_random():
                      for j in range(n)])
         a = KMatrix(rows)
         x = KVector([rand_fe(rng, 5) for _ in range(n)])
-        part, kernel = a.solve(a.matvec(x))
-        assert a.matvec(part) == a.matvec(x)
+        b = fieldmatrix.matvec(a, x)
+        part, kernel = a.solve(b)
+        assert fieldmatrix.matvec(a, part) == b
         assert kernel and kernel == a.kernel_basis()
         assert len(kernel) == n - a.rank()
 
@@ -225,30 +226,35 @@ def test_kernel_echelon_idempotent():
         assert km.kernel_basis() == KMatrix.from_vectors(kernel).kernel_basis()
 
 
-def _product(a, b):
-    cols = b.transpose()
-    return KMatrix([[a.row(i).dot(cols.row(j)) for j in range(b.ncols)]
-                    for i in range(a.nrows)], ncols=b.ncols, d=a.d)
+def _product(a, b, d):
+    return [[sum((x * y for x, y in zip(r, c)), FieldElem(0, 0, d)) for c in zip(*b)]
+            for r in a]
+
+
+def _identity(n, d):
+    return [[FieldElem(int(i == j), 0, d) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("d", [0, 2, 5])
 def test_inverse_random(d):
+    # the reference inverse that the chart tests compare against is a two-sided
+    # inverse, and its column j is KMatrix.solve's unique solution of A x = e_j
     rng = random.Random(2000 + d)
     checked = 0
     for _ in range(80):
         n = rng.randint(1, 4)
-        a = KMatrix([[rand_fe(rng, d) for _ in range(n)] for _ in range(n)])
+        rows = [[rand_fe(rng, d) for _ in range(n)] for _ in range(n)]
+        a = KMatrix(rows)
         if a.rank() < n:
             with pytest.raises(ZeroDivisionError):
-                a.inverse()
+                fieldmatrix.inverse(rows, d)
             continue
-        inv = a.inverse()
-        eye = KMatrix.identity(n, d)
-        assert _product(a, inv) == eye and _product(inv, a) == eye
-        # column j of the inverse is the solution of A x = e_j
+        inv = fieldmatrix.inverse(rows, d)
+        eye = _identity(n, d)
+        assert _product(rows, inv, d) == eye and _product(inv, rows, d) == eye
         for j in range(n):
-            x, kernel = a.solve(eye.row(j))
-            assert not kernel and x == inv.transpose().row(j)
+            x, kernel = a.solve(KVector(eye[j], d))
+            assert not kernel and list(x) == [r[j] for r in inv]
         checked += 1
     assert checked >= 70
 
@@ -262,10 +268,9 @@ def test_inverse_of_singular_matrix_raises(d):
         c = [rand_fe(rng, d) for _ in range(n - 1)]
         rows.append([sum((ci * r[j] for ci, r in zip(c, rows)), fe(0, 0, d))
                      for j in range(n)])
+        assert KMatrix(rows).rank() < n
         with pytest.raises(ZeroDivisionError):
-            KMatrix(rows).inverse()
-    with pytest.raises(ValueError):
-        KMatrix([[fe(1), fe(0)]]).inverse()
+            fieldmatrix.inverse(rows, d)
 
 
 
@@ -309,7 +314,8 @@ def test_shared_elimination_matches_the_field_reference(d):
         assert a.kernel_basis() == ref_kernel
         seen["deficient"] += len(ref_pivots) < min(m, n)
         x = [_small_fe(rng, d) for _ in range(n)]
-        for b in ([_small_fe(rng, d) for _ in range(m)], list(a.matvec(KVector(x, d)))):
+        consistent = list(fieldmatrix.matvec(a, KVector(x, d)))
+        for b in ([_small_fe(rng, d) for _ in range(m)], consistent):
             ref = fieldmatrix.solve(rows, b, n, d)
             got = a.solve(KVector(b, d))
             if ref is None:
@@ -321,11 +327,12 @@ def test_shared_elimination_matches_the_field_reference(d):
             try:
                 ref_inv = fieldmatrix.inverse(rows, d)
             except ZeroDivisionError:
-                with pytest.raises(ZeroDivisionError):
-                    a.inverse()
+                assert a.rank() < n
                 seen["singular"] += 1
             else:
-                assert a.inverse() == KMatrix(ref_inv, ncols=n, d=d)
+                # column j of the inverse is the unique solution of A x = e_j
+                for j, e_j in enumerate(_identity(n, d)):
+                    assert a.solve(KVector(e_j, d)) == (KVector([r[j] for r in ref_inv], d), [])
                 seen["inverted"] += 1
     assert all(v >= 20 for v in seen.values()), seen
 

@@ -88,6 +88,18 @@ GOLDEN = {
         (0, "9c7e91dff2bae846d85b32000d360b6a3015efbabc093da997e68a58eb1e7775"),
     "cut --example kite --axis-of kite":
         (0, "9a4cd6056c8b00ae86d34047a2928c55b2bbb05b83f67f5133980e8f037f0e2a"),
+    "cut --example thick_rhombus --normal 1,1 --level 1":
+        (0, "c1353932b093eae587e28243dd6f305415de3bd79cc4d4b8d547e7d2b067db51"),
+    "cut --example thin_rhombus --normal 1,1 --level 1/2":
+        (0, "30e0b2f4377543f0474cd7664ba577d697afc07fb997a62367a414bd38c7a6b0"),
+    "cut --example cube --normal 1,1,0 --level 1":
+        (0, "adf8fff20ad2d8931d7b11abc056a6f1c7d99230620e9a6aae84983f81c0af3f"),
+    "cut --example tetrahedron --normal 1,1,1 --level 0":
+        (0, "e46ed13e4e1eb425a5ba0d5d86d91f85ece07aaaf180ff87608def97ece3f98b"),
+    "cut --example prolate_rhombohedron --normal 0,2,0 --level 1":
+        (0, "4cf3c49836f79ec2abf7ed38d50ab2908bc0dad263af648554a79435a2f335d3"),
+    "cut --example dodecahedron --normal 0,2,0 --level 1/3":
+        (0, "92a4e3505d60acfb741310090210609364b3f9adb758102e2eb58ff35c8cfd27"),
     "tile --type p3 --steps 5 --doubled":
         (0, "4ad85919a7e1085b208c0c635ee4e9134cc7a632f9f3c86a16c89e6e4cb80646"),
     "tile --type p2 --steps 8":

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import fieldmatrix
 from quasitoric import intlattice, quasilattice
+from quasitoric.examples import EXAMPLES, get_example
 from quasitoric.field import FieldElem, KVector, fe, phi
 from quasitoric.intlattice import snf
 from quasitoric.quasilattice import (Quasilattice, combination, is_discrete,
                                      member, quotient_by, relation_lattice,
-                                     z_rank)
+                                     split_target, z_rank)
 
 
 def kv5(*xs):
@@ -130,3 +133,27 @@ def test_kite_chart_group_from_quotient():
 def test_generators_must_span():
     with pytest.raises(ValueError):
         Quasilattice(2, (kv5(1, 0), kv5(2, 0)))
+
+
+def _random_target(rng, t):
+    """A lattice member over a small integer, or a vector of small fractions."""
+    d, q = t.lattice.field_d, t.lattice
+    if rng.random() < 0.5:
+        x = combination(q, [rng.randint(-3, 3) for _ in range(q.m)])
+        return x.scale(Fraction(1, rng.randint(1, 4)))
+    return KVector([FieldElem(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                              Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if d else 0, d)
+                    for _ in range(q.dim)], d)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_integer_split_target_matches_the_fraction_reference(name):
+    # same rows, row order and row scales: int_solve's particular solution, and
+    # with it every certificate, depends on them
+    t = get_example(name)
+    rng = random.Random(f"split:{name}")
+    targets = [*t.lattice.generators, *t.normals] + [_random_target(rng, t) for _ in range(200)]
+    for vectors in (t.lattice.generators, t.normals):
+        for x in targets:
+            assert split_target(x, vectors, t.lattice.dim) == fieldmatrix.split_target(
+                x, vectors, t.lattice.dim)

@@ -6,7 +6,7 @@ import pytest
 from quasitoric import tilings
 from quasitoric.field import fe, phi
 from quasitoric.tilings import (Cyclo, HalfTile, InflateError, MAX_TILE_LEAVES,
-                                Node, PHI_C, Patch, ROT36, deflate, inflate,
+                                Node, PHI_C, Patch, ROT36, cross_sign, deflate, inflate,
                                 leaf_count, mirror_double, mirror_mate, pair_tiles,
                                 render_star, render_svg, seed, tile_key, tile_triple,
                                 verify_patch, _lift)
@@ -347,18 +347,31 @@ def test_verify_patch_checks_each_translation_class_once(monkeypatch):
 SEEDS = [(mode, kind, doubled) for mode in ("p2", "p3") for kind in ("acute", "obtuse")
          for doubled in (False, True)]
 
+# Each child's handedness relative to its parent's, per (mode, parent kind), in
+# the order the rule lists the children.  A child swapped for its mirror image
+# covers the same triangle, so neither shapes nor edge cancellation see it.  The
+# p3 rows are Robinson's decomposition as Preshing writes it ("Penrose Tiling
+# Explained", 2011), for a parent (A, B, C) with apex A and P = A + (B - A)/phi,
+# Q = B + (A - B)/phi, R = B + (C - B)/phi: a golden triangle gives the golden
+# triangle (C, P, B) and the gnomon (P, C, A), a gnomon gives the gnomons
+# (R, C, A) and (Q, R, B) and the golden triangle (R, Q, A).
+HANDEDNESS = {("p2", "acute"): (1, -1, 1), ("p2", "obtuse"): (1, -1),
+              ("p3", "acute"): (1, -1, -1), ("p3", "obtuse"): (1, 1)}
+
 
 def _check_entries(table):
-    """Every entry of `table` by its own shapes and by edge cancellation: the
-    parent rebuilt from its key with the apex at 0 (so the lifted apex is 0
-    too), the children read straight from the offsets.  Each child's stored
-    key is its own."""
+    """Every entry of `table` by its own shapes, by edge cancellation and by the
+    children's handedness: the parent rebuilt from its key with the apex at 0
+    (so the lifted apex is 0 too), the children read straight from the offsets.
+    Each child's stored key is its own."""
     for (mode, (kind, *diffs)), rule in table.items():
         parent = HalfTile(kind, (Cyclo(), Cyclo(*diffs[:4]), Cyclo(*diffs[4:])))
         children = [HalfTile(k, tuple(Cyclo(*o) for o in offsets)) for k, offsets, _ in rule]
         for t in [parent] + children:
             t.check_shape(mode)
         assert children_tile_parent(parent, children), (mode, kind, diffs)
+        hand = cross_sign(*parent.vertices)
+        assert tuple(cross_sign(*c.vertices) * hand for c in children) == HANDEDNESS[mode, kind]
         assert [key for _, _, key in rule] == [(mode, tile_key(c)) for c in children]
 
 

@@ -9,9 +9,12 @@ repository's git metadata alone.  For each seed, `perfbench/run.py --workload W
 even-indexed pairs and the change first on odd ones, so drift of the host
 falls on both sides alike.  The output keeps every run, each side's median
 and quartiles (inclusive method) of every end-to-end metric, the pairs the
-change wins on ops_per_s, and each side's `src/` line count (`src_lines`,
+change wins on ops_per_s, whether every run of each side was `correct` with no
+failed op (`all_passed`), and each side's `src/` line count (`src_lines`,
 ROADMAP aim 2's size metric).  Workloads already in an output file for the
-same parent are kept, so workloads can be run one at a time.
+same parent are kept, so workloads can be run one at a time.  The exit status
+is 1 when any run of the change was not correct or failed an op, so no median
+it reports rests on failed ops.
 """
 from __future__ import annotations
 
@@ -70,6 +73,12 @@ def _run(checkout: str, workload: str, seed: int) -> dict:
     return out
 
 
+def _passed(runs: list[dict]) -> dict:
+    """Per side, whether every run was correct with no failed op."""
+    return {side: all(r[side]["correct"] and r[side]["failed"] == 0 for r in runs)
+            for side in ("change", "parent")}
+
+
 def _summary(runs: list[dict]) -> dict:
     summary = {}
     for metric in METRICS:
@@ -124,13 +133,20 @@ def main() -> int:
                       file=sys.stderr)
                 runs.append(run)
             wins = sum(r["change"]["ops_per_s"] > r["parent"]["ops_per_s"] for r in runs)
-            doc["workloads"][workload] = {"change_wins_ops_per_s": wins, "pairs": len(runs),
-                                          "runs": runs, "summary": _summary(runs)}
+            doc["workloads"][workload] = {"all_passed": _passed(runs),
+                                          "change_wins_ops_per_s": wins,
+                                          "pairs": len(runs), "runs": runs,
+                                          "summary": _summary(runs)}
             with open(path, "w", encoding="utf-8") as fh:   # after each workload
                 json.dump(doc, fh, indent=1, sort_keys=True)
                 fh.write("\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    failed = [w for w in args.workload if not doc["workloads"][w]["all_passed"]["change"]]
+    if failed:
+        print(f"change runs not all correct with no failed op: {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
