@@ -34,6 +34,8 @@ from .field import KVector, parse_field_elem
 from .jsonio import ParseError
 from .polytope import DegenerateCutError, VertexBudgetError
 
+MAX_STAR_ARROWS = 1000   # `render --star` bound: about 100 bytes of SVG an arrow
+
 
 def _svg_digits() -> int:
     raw = os.environ.get("QTK_PRECISION", "12")
@@ -154,7 +156,9 @@ def cmd_tile(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     digits = _svg_digits()
-    if args.star:
+    if args.star is not None:
+        if not 1 <= args.star <= MAX_STAR_ARROWS:
+            raise ValueError(f"--star takes 1 to {MAX_STAR_ARROWS} arrows, got {args.star}")
         _write(tilings.render_star(args.star, digits), args.output)
         return 0
     hook = jsonio.patch_hook()
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="SVG output")
     p.add_argument("--input", help="patch JSON file ('-' for stdin)")
     p.add_argument("--star", type=int, nargs="?", const=5, default=None,
-                   help="render the roots-of-unity star instead (default 5 arrows)")
+                   help=f"draw the roots-of-unity star instead (default 5, 1 to {MAX_STAR_ARROWS})")
     p.add_argument("--paired", action="store_true",
                    help="merge half-tiles into whole tiles first")
     p.add_argument("--output", help="output path (default stdout)")

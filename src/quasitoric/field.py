@@ -267,13 +267,15 @@ def parse_field_elem(text: str, d: int) -> FieldElem:
     m = _FE_RE.match(text)
     if not m or (m.group("a") is None and m.group("d") is None):
         raise ValueError(f"cannot parse field element {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(0)
+    try:
+        a = Fraction(m.group("a") or 0)
+        b = Fraction(m.group("b") or 1) if m.group("d") else Fraction(0)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in field element {text!r}") from None
     if m.group("d") is not None:
         dd = int(m.group("d"))
         if dd != d:
             raise FieldMixError(f"element in Q(sqrt({dd})) used in field D={d}")
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
         if m.group("a") and m.group("sign") is None:

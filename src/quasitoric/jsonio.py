@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, NoReturn, Optional, Sequence
 
-from .field import FieldElem, KVector, _check_context
+from .field import FieldElem, KVector, _check_context, _make
 from .intlattice import AbelianGroupInvariants
 from .polytope import HalfSpace, PolytopeH
 from .quasilattice import Quasilattice, member
@@ -92,10 +93,17 @@ def _scalar_key(k: Any) -> str:
 
 
 def encode_fe(x: FieldElem) -> dict:
-    out = {"a": str(x.a)}
-    if x.d != 0:
-        out["b"] = str(x.b)
+    # str(Fraction(p, r)) and str(Fraction(q, r)) for x = (p + q*sqrt(D))/r
+    r = x._r
+    out = {"a": _ratio(x._p, r)}
+    if x._d:
+        out["b"] = _ratio(x._q, r)
     return out
+
+
+def _ratio(n: int, r: int) -> str:
+    g = gcd(n, r)
+    return str(n // g) if g == r else f"{n // g}/{r // g}"
 
 
 def decode_fe(obj: Any, d: int, path: str) -> FieldElem:
@@ -262,7 +270,7 @@ def encode_invariants(inv: AbelianGroupInvariants) -> dict:
 
 def encode_charts(charts: Sequence[construction.Chart]) -> dict:
     d = charts[0].vertex.point.d if charts else 0
-    one = encode_fe(FieldElem(1, 0, d))
+    one = encode_fe(_make(1, 0, 1, d))
     out = []
     for c in charts:
         out.append({
@@ -409,55 +417,20 @@ def _rehook(obj: Any, hook: Callable[[dict], Any]) -> Any:
     return obj
 
 
-def _fail(trail: list[int], suffix: str, message: str) -> NoReturn:
-    path = f"$.roots[{trail[0]}]" + "".join(f".children[{i}]" for i in trail[1:])
-    raise ParseError(path + suffix, message)
-
-
-def _walk(node: Any, trail: list[int], mode: str, depth: int,
-          key: Optional[tuple] = None) -> None:
-    """Check the node at `trail` (root index, then child indices) and its subtree;
-    `key` is the node's table key when its parent's entry gave it.  A
-    module-level recursion, so no closure cycle outlives the call."""
-    decoded = type(node) is tilings.Node
-    fault = None if decoded else _node_fault(node)   # undecoded: a fault here or below
-    if fault:
-        _fail(trail, *fault)
-    kids = node.children if decoded else node.get("children", [])
-    level = len(trail) - 1
-    if bool(kids) != (level < depth):
-        _fail(trail, "", f"{'leaf' if not kids else 'node with children'} at tree "
-                         f"depth {level}, but every leaf must sit at depth {depth}")
-    if decoded and not level:
-        try:
-            node.tile.check_shape(mode)
-        except ValueError as exc:
-            _fail(trail, ".vertices", str(exc))
-    keys: list = [None] * len(kids)
-    if decoded and kids:
-        try:
-            keys = [k for _, _, k in tilings.check_children(mode, node, key)]
-        except ValueError as exc:   # name a child of the wrong shape, else the node
-            for i, c in enumerate(kids):
-                try:
-                    c.tile.check_shape(mode)
-                except ValueError as shape:
-                    _fail(trail + [i], ".vertices", str(shape))
-            _fail(trail, ".children", str(exc))
-    for i, (c, k) in enumerate(zip(kids, keys)):
-        if k is not None and not c.children and level + 1 == depth:
-            continue   # a leaf its parent's entry matched: nothing left to check
-        trail.append(i)
-        _walk(c, trail, mode, depth, k)
-        trail.pop()
+def _decode_fault(node: Any, trail: list[int]) -> NoReturn:
+    """Raise the fault of the first object at or below `node` (at `trail`) that
+    `patch_hook` left undecoded; a node object of no fault waits on a child."""
+    while not _node_fault(node):
+        i = next(i for i, c in enumerate(node["children"]) if type(c) is not tilings.Node)
+        node, trail = node["children"][i], trail + [i]
+    raise tilings.PatchFault(trail, *_node_fault(node))
 
 
 def parse_patch(doc: Any) -> tilings.Patch:
-    """The patch of a document loaded plainly or through `patch_hook()`.
-
-    Every leaf must sit at tree depth `depth`, every root must have its kind's
-    shape, and every node's children must be the substitution of its tile
-    (`tilings.check_children`): the document is one the library can grow.
+    """The patch of a document loaded plainly or through `patch_hook()`: the
+    first object that is no node object is named, then `tilings.verify_patch`
+    checks the tree, so the document is one the library can grow.  Faults are
+    named at their node's JSON path.
     """
     if not isinstance(doc, dict) or doc.get("mode") not in ("p2", "p3"):
         raise ParseError("$.mode", "expected 'p2' or 'p3'")
@@ -467,6 +440,13 @@ def parse_patch(doc: Any) -> tilings.Patch:
     if not isinstance(roots, list) or not roots:
         raise ParseError("$.roots", "expected a non-empty list")
     roots = _rehook(roots, patch_hook())
-    for i, r in enumerate(roots):
-        _walk(r, [i], mode, depth)
-    return tilings.Patch(mode, tuple(roots), depth)
+    try:
+        for i, r in enumerate(roots):
+            if type(r) is not tilings.Node:
+                _decode_fault(r, [i])
+        patch = tilings.Patch(mode, tuple(roots), depth)
+        tilings.verify_patch(patch)
+    except tilings.PatchFault as exc:
+        path = f"$.roots[{exc.trail[0]}]" + "".join(f".children[{i}]" for i in exc.trail[1:])
+        raise ParseError(path + exc.field, str(exc)) from None
+    return patch

@@ -20,11 +20,11 @@ exact inverse of deflation.
 One table, kept for the life of the process, holds the substitution: for
 each (mode, `tile_key`), the children's kinds and their offsets from the
 lifted apex, made by the mode's rule with every child's shape checked (40
-keys per mode at the seeds' scale).  `deflate` grows from it, and
-`check_children` compares a node's children with it, which is how
-`verify_patch` and `jsonio.parse_patch` accept only trees the substitution
-made.  That the entries tile their parents is checked apart from the rules, by
-directed-edge cancellation in the tests.
+keys per mode at the seeds' scale).  `deflate` grows from it; `verify_patch`,
+the one check of a tree (patch loading runs it), compares every node's children
+with it and every leaf's depth with the patch's, naming a fault's node by its
+index path.  That the entries tile their parents is checked apart from the
+rules, by directed-edge cancellation in the tests.
 """
 from __future__ import annotations
 
@@ -329,38 +329,58 @@ def substitution(mode: Mode, tile: HalfTile, key: Optional[tuple] = None) -> tup
     return rule
 
 
-def check_children(mode: Mode, node: Node, key: Optional[tuple] = None) -> tuple:
-    """The table entry of `node`'s tile (key `key` if given); ValueError unless
-    the node's children are, in order, its children moved by the lifted apex."""
-    rule = substitution(mode, node.tile, key)
-    kids = node.children
-    if len(kids) != len(rule):
-        raise ValueError(f"{len(kids)} children, but the {mode} substitution of the "
-                         f"parent has {len(rule)}")
-    l0, l1, l2, l3 = _lift(node.tile.vertices[0]).c
-    for i, ((kind, (p, q, r), _), kid) in enumerate(zip(rule, kids)):
-        tile = kid.tile
-        a, b1, b2 = tile.vertices
-        if (tile.kind != kind or a.c != (l0 + p[0], l1 + p[1], l2 + p[2], l3 + p[3])
-                or b1.c != (l0 + q[0], l1 + q[1], l2 + q[2], l3 + q[3])
-                or b2.c != (l0 + r[0], l1 + r[1], l2 + r[2], l3 + r[3])):
-            raise ValueError(f"child {i} is not the {mode} substitution of the parent")
-    return rule
+class PatchFault(ValueError):
+    """A fault of a patch tree at the node whose index path (root index, then
+    child indices) is `trail`, in its `field`: "", ".vertices" or ".children"."""
+
+    def __init__(self, trail: Sequence[int], field: str, message: str) -> None:
+        super().__init__(message)
+        self.trail, self.field = tuple(trail), field
 
 
 def verify_patch(patch: Patch) -> None:
-    """Raise ValueError unless every root has its kind's shape and every node's
-    children are the substitution of its tile (`check_children`).  Every other
-    tile then has its shape too: a table entry's children were checked when it
-    was made."""
-    for r in patch.roots:
-        r.tile.check_shape(patch.mode)
-    stack = [(r, None) for r in patch.roots]
-    while stack:
-        node, key = stack.pop()
-        if node.children:
-            rule = check_children(patch.mode, node, key)
-            stack.extend(zip(node.children, [k for _, _, k in rule]))
+    """Raise `PatchFault` at the first fault, depth first, unless every leaf sits
+    at tree depth `patch.depth`, every root has its kind's shape and every internal
+    node's children are its table entry moved by its lifted apex (so every tile has
+    its shape: an entry's children were checked when it was made)."""
+    for i, r in enumerate(patch.roots):
+        _check(r, [i], patch.mode, patch.depth, None)
+
+
+def _check(node: Node, trail: list[int], mode: Mode, depth: int, key: Optional[tuple]) -> None:
+    """`verify_patch` of the node at `trail`, whose table key is `key` if known."""
+    kids, level = node.children, len(trail) - 1
+    if bool(kids) != (level < depth):
+        raise PatchFault(trail, "", f"{'leaf' if not kids else 'node with children'} at "
+                                    f"tree depth {level}, but every leaf must sit at depth {depth}")
+    if not level:
+        try:
+            node.tile.check_shape(mode)
+        except ValueError as exc:
+            raise PatchFault(trail, ".vertices", str(exc)) from None
+    if not kids:
+        return
+    rule = substitution(mode, node.tile, key)
+    fault = None if len(kids) == len(rule) else (
+        f"{len(kids)} children, but the {mode} substitution of the parent has {len(rule)}")
+    l0, l1, l2, l3 = _lift(node.tile.vertices[0]).c
+    for i, ((_, (p, _, _), (_, k)), kid) in enumerate(zip(rule, kids)):
+        # the same apex and the same table key: the same kind and vertices
+        if fault is None and (tile_key(kid.tile) != k or kid.tile.vertices[0].c
+                              != (l0 + p[0], l1 + p[1], l2 + p[2], l3 + p[3])):
+            fault = f"child {i} is not the {mode} substitution of the parent"
+    if fault:   # name a child of no Penrose shape, else the parent's children
+        for i, kid in enumerate(kids):
+            try:
+                kid.tile.check_shape(mode)
+            except ValueError as exc:
+                raise PatchFault(trail + [i], ".vertices", str(exc)) from None
+        raise PatchFault(trail, ".children", fault)
+    for i, (kid, (_, _, key)) in enumerate(zip(kids, rule)):
+        if kid.children or level + 1 < depth:   # a matched leaf at `depth` is done
+            trail.append(i)
+            _check(kid, trail, mode, depth, key)
+            trail.pop()
 
 
 MAX_TILE_LEAVES = 250_000   # `tile` budget: acute seed doubled, depth 12 (242 786) fits
@@ -452,32 +472,22 @@ def inflate(patch: Patch, steps: int) -> Patch:
 # ---------------------------------------------------------------------------
 
 
-def _phi_power_inverse(x: FieldElem) -> Cyclo:
-    """Ring inverse of x when x is phi^k, 0 <= k <= 64; raises otherwise."""
-    from .field import phi as _phi
-    golden, inv, phi_inv = _phi(), ONE_C, PHI_C - ONE_C
-    for _ in range(65):
-        if x == 1:
-            return inv
-        x, inv = x / golden, inv * phi_inv
-    raise ValueError("edge norm is not a phi power")
+_TURNS = tuple(Cyclo.zeta(3 * k) * (-1) ** k for k in range(10))   # ROT36 ** k = (-zeta^3) ** k
 
 
 def mirror_mate(tile: HalfTile, mode: Mode) -> HalfTile:
     """The reflected copy across the glue edge, completing the whole tile.
 
-    Exact in the ring: glue edges of stored tiles have phi-power squared
-    length, so the reflection denominator is a unit.
-    """
-    p, q = tile.glue_edge(mode)
-    if mode == "p3":
-        a, b1, b2 = tile.vertices
-        return HalfTile(tile.kind, (b1 + b2 - a, b2, b1))
-    e = q - p
-    inv = _phi_power_inverse(e.norm_squared())
+    Exact in the ring: in mode p2 the apex turn rho, the 10th root of unity with
+    (b2 - a) * rho = b1 - a, reflects b1 to a + (b2 - a) * conj(rho)."""
     a, b1, b2 = tile.vertices
-    reflected = p + e * e * (b1 - p).conjugate() * inv
-    return HalfTile(tile.kind, (a, reflected, b2))
+    if mode == "p3":
+        return HalfTile(tile.kind, (b1 + b2 - a, b2, b1))
+    axis, leg = b2 - a, (b1 - a).c
+    for rho in _TURNS:
+        if (axis * rho).c == leg:
+            return HalfTile(tile.kind, (a, a + axis * rho.conjugate(), b2))
+    raise ValueError(f"{mode} {tile.kind} half-tile: apex turn is no multiple of 36 degrees")
 
 
 def mirror_double(patch: Patch) -> Patch:

@@ -1,13 +1,15 @@
 import gc
+import io
 import itertools
 import json
 import math
 import re
+import sys
 
 import pytest
 
 from quasitoric import jsonio, polytope, tilings
-from quasitoric.cli import build_parser, main
+from quasitoric.cli import MAX_STAR_ARROWS, build_parser, main
 from quasitoric.construction import Triple, build_presentation
 from quasitoric.examples import EXAMPLES, get_example
 from quasitoric.field import KMatrix, KVector, fe
@@ -111,6 +113,16 @@ def test_cut_normal_arity_names_the_flag(example, normal, dim, given, capsys):
                    f"(the polytope dimension), got {given}\n")
 
 
+@pytest.mark.parametrize("example, normal, level, bad", [
+    ("sphere", "1/0", "1", "1/0"), ("sphere", "1", "1/0", "1/0"),
+    ("quasisphere", "1", "1+1/0sqrt5", "1+1/0sqrt5")])
+def test_cut_zero_denominator_is_an_error(example, normal, level, bad, capsys):
+    code, out, err = run(capsys, "cut", "--example", example, "--normal", normal,
+                         "--level", level)
+    assert (code, out) == (1, "")
+    assert err == f"error: zero denominator in field element {bad!r}\n"
+
+
 def test_cut_degenerate_exit_2(capsys):
     code, _out, err = run(capsys, "cut", "--example", "sphere",
                           "--normal", "1", "--level", "7")
@@ -186,6 +198,20 @@ def test_render_star(capsys):
     code, out, _ = run(capsys, "render", "--star")
     assert code == 0
     assert out.count("<line") == 5
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "1000000000"])
+def test_render_star_out_of_range_is_a_usage_error(count, tmp_path, capsys, monkeypatch):
+    class Unread(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("stdin read")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    svg = tmp_path / "star.svg"
+    code, out, err = run(capsys, "render", "--star", count, "--output", str(svg))
+    assert (code, out) == (1, "") and not svg.exists()
+    assert err == f"error: --star takes 1 to {MAX_STAR_ARROWS} arrows, got {count}\n"
+    assert run(capsys, "render", "--star", str(MAX_STAR_ARROWS))[1].count("<line") == 1000
 
 
 def test_patch_roundtrip_bytes(tmp_path, capsys):

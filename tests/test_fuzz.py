@@ -1,4 +1,5 @@
-"""Seeded single-field mutations of a triple and a patch document, through the CLI.
+"""Seeded single-field mutations of a triple and a patch document, and seeded
+mutations of every subcommand's command line, through the CLI.
 
 Every case must end in exit 0, 1 or 2 with no traceback: no exception leaves
 `main` and stderr holds none.  Every triple that `validate` accepts parses
@@ -7,6 +8,7 @@ tree that keep every node well formed must each be refused with a node's
 path.  Standard-library `random` with fixed seeds; no hypothesis.
 """
 import copy
+import io
 import json
 import random
 from collections import Counter
@@ -128,3 +130,65 @@ def test_mutated_patch_trees_are_refused_at_a_node_path(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 1 and err.startswith("parse error: $.roots["), err
             assert not svg.exists()
+
+
+# One legal command line per subcommand (and per way of giving `cut` and `render`
+# their input), cheap enough to run hundreds of mutations in a few seconds.
+_ARGVS = (
+    ["validate", "--example", "kite", "--output", "out.txt"],
+    ["present", "--example", "quasisphere", "--format", "json"],
+    ["charts", "--example", "sphere", "--format", "text"],
+    ["classify", "--example", "octahedron"],
+    ["cut", "--example", "sphere", "--normal", "1", "--level", "1/2"],
+    ["cut", "--example", "kite", "--axis-of", "kite", "--output", "cut.json"],
+    ["tile", "--type", "p3", "--steps", "3", "--seed", "obtuse", "--doubled"],
+    ["render", "--star", "7", "--output", "star.svg"],
+    ["render", "--input", "patch.json", "--paired"],
+    ["report", "--example", "orbisphere", "--format", "json"],
+)
+
+
+def _groups(argv):
+    """argv after the command as [flag] or [flag, value] groups."""
+    groups = []
+    for token in argv[1:]:
+        if token.startswith("--"):
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    return groups
+
+
+def mutate_argv(argv, rng):
+    """argv with one to three flags dropped, repeated or swapped, or values
+    swapped for entries of `_VALUES` (as text)."""
+    groups = _groups(argv)
+    for _ in range(rng.randrange(1, 4)):
+        op = rng.randrange(5)
+        if op == 0 and groups:
+            groups.pop(rng.randrange(len(groups)))
+        elif op == 1 and groups:
+            groups.insert(rng.randrange(len(groups) + 1), list(rng.choice(groups)))
+        elif op == 2 and len(groups) > 1:   # two flags trade places
+            i, j = rng.sample(range(len(groups)), 2)
+            groups[i], groups[j] = groups[j], groups[i]
+        elif op == 3 and len(groups) > 1:   # two flags trade names
+            i, j = rng.sample(range(len(groups)), 2)
+            groups[i][0], groups[j][0] = groups[j][0], groups[i][0]
+        elif groups:
+            group = rng.choice(groups)
+            value = rng.choice(_VALUES)
+            group[1:] = [value if isinstance(value, str) else json.dumps(value)]
+    return [argv[0]] + [token for group in groups for token in group]
+
+
+def test_mutated_command_lines_end_in_an_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, "tile", "--type", "p2", "--steps", "2", "--output", "patch.json") == 0
+    rng, codes = random.Random(4), Counter()
+    for argv in _ARGVS:
+        assert _run(capsys, *argv) in (0, 2), argv
+        for _ in range(100):
+            monkeypatch.setattr("sys.stdin", io.StringIO(""))
+            codes[_run(capsys, *mutate_argv(argv, rng))] += 1
+    assert codes[0] and codes[1] and codes[2], codes

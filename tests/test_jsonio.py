@@ -5,11 +5,15 @@ import copy
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from quasitoric import jsonio, tilings
 from quasitoric.cli import main
+from quasitoric.construction import build_charts, build_presentation, classify
+from quasitoric.examples import EXAMPLES, get_example
+from quasitoric.field import FieldElem
 from quasitoric.tilings import HalfTile, Patch, deflate, mirror_double, seed
 
 CHARS = "az Z09\"\\/\x00\x01\x1f\x7f\n\t\r\b\féü中 \ud800😀"
@@ -71,6 +75,34 @@ def test_unsupported_values_raise_like_json():
     for doc in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
         with pytest.raises(TypeError):
             jsonio.dumps_canonical(doc)
+
+
+def test_encode_fe_writes_what_fraction_writes():
+    rng = random.Random(15)
+    for _ in range(500):
+        a = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+        b = Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 6, 10 ** 30)))
+        for x in (FieldElem(a, b, 5), FieldElem(a, 0, 0), FieldElem(0, b, 2)):
+            expected = {"a": str(x.a), **({"b": str(x.b)} if x.d else {})}
+            assert jsonio.encode_fe(x) == expected
+
+
+def test_encoding_presentations_and_charts_makes_no_fraction(monkeypatch):
+    built = []
+    for name in EXAMPLES:
+        triple = get_example(name)
+        if classify(triple).simple:
+            built.append((build_presentation(triple), build_charts(triple)))
+    new, made = Fraction.__new__, []
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    texts = [jsonio.dumps_canonical(jsonio.encode_presentation(p))
+             + jsonio.dumps_canonical(jsonio.encode_charts(c)) for p, c in built]
+    assert len(texts) == 11 and not made
 
 
 @pytest.mark.parametrize("flush", [1, 5, jsonio._FLUSH_PARTS])

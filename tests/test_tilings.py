@@ -298,6 +298,48 @@ def test_verify_patch_catches_a_child_corrupted_deep_down():
                     verify_patch(bad)
 
 
+def test_verify_patch_names_a_node_off_the_patch_depth():
+    roots = deflate(seed("p2"), 2).roots
+    verify_patch(Patch("p2", roots, 2))
+    with pytest.raises(tilings.PatchFault) as exc:   # render would draw it at phi^-5
+        verify_patch(Patch("p2", roots, 5))
+    assert (exc.value.trail, exc.value.field) == ((0, 0, 0), "")
+    assert str(exc.value) == "leaf at tree depth 2, but every leaf must sit at depth 5"
+    with pytest.raises(tilings.PatchFault) as exc:
+        verify_patch(Patch("p2", roots, 1))
+    assert (exc.value.trail, exc.value.field) == ((0, 0), "")
+    assert str(exc.value) == ("node with children at tree depth 1, but every leaf must "
+                              "sit at depth 1")
+
+
+def test_verify_patch_names_the_faulty_node():
+    patch = deflate(seed("p3", "obtuse"), 3)
+    for path, node in _paths(patch.roots[0]):
+        if not node.children:
+            continue
+        bad = Patch("p3", (_with_children(patch.roots[0], path, node.children[::-1]),), 3)
+        with pytest.raises(tilings.PatchFault) as exc:
+            verify_patch(bad)
+        assert (exc.value.trail, exc.value.field) == ((0,) + path, ".children")
+        assert str(exc.value) == "child 0 is not the p3 substitution of the parent"
+    root = patch.roots[0]
+    a, b1, b2 = root.children[1].tile.vertices
+    bent = HalfTile(root.children[1].tile.kind, (a, b1, b2 + Cyclo(1)))
+    with pytest.raises(tilings.PatchFault) as exc:   # a child of no shape before its parent
+        verify_patch(Patch("p3", (_replaced(root, (1,), bent),), 3))
+    assert (exc.value.trail, exc.value.field) == ((0, 1), ".vertices")
+    assert "half-tile" in str(exc.value)
+
+
+def _with_children(node, path, kids):
+    """`node` with the children of its descendant at child-index `path` replaced."""
+    if not path:
+        return Node(node.tile, kids)
+    out = list(node.children)
+    out[path[0]] = _with_children(out[path[0]], path[1:], kids)
+    return Node(node.tile, tuple(out))
+
+
 def test_verify_patch_agrees_with_a_per_node_walk_on_mutations():
     """`verify_patch` accepts only the unmutated patch, and never a patch the
     edge-cancellation walk rejects.  The walk is weaker: a child with its base
@@ -474,6 +516,59 @@ def test_mirror_mate_is_valid_tile():
             m = mirror_mate(t, mode)
             m.check_shape(mode)
             assert m.glue_edge(mode)[0] in t.vertices or mode == "p3"
+
+
+def _mate_by_norm(tile, mode):
+    """The p2 mate as the reflection across the axis e = b2 - a, with 1/|e|^2
+    found as a phi power of at most 64 steps: None past that."""
+    a, b1, b2 = tile.vertices
+    e = b2 - a
+    x, inv, golden = e.norm_squared(), Cyclo(1), phi()
+    for _ in range(65):
+        if x == 1:
+            return HalfTile(tile.kind, (a, a + e * e * (b1 - a).conjugate() * inv, b2))
+        x, inv = x / golden, inv * (PHI_C - Cyclo(1))
+    return None
+
+
+def test_mirror_mate_of_scaled_and_rotated_seeds():
+    scales, known = [Cyclo(1)], 0
+    for _ in range(100):
+        scales.append(scales[-1] * PHI_C)
+    for mode in ("p2", "p3"):
+        for kind in ("acute", "obtuse"):
+            a, b1, b2 = seed(mode, kind).roots[0].tile.vertices
+            for k, scale in enumerate(scales):
+                turn = Cyclo.zeta(k % 5) * (-1) ** k
+                move = Cyclo(k, -k, 2, k % 3)
+                tile = HalfTile(kind, tuple(v * scale * turn + move for v in (a, b1, b2)))
+                tile.check_shape(mode)
+                mate = mirror_mate(tile, mode)
+                mate.check_shape(mode)
+                assert mirror_mate(mate, mode) == tile
+                if mode == "p2":   # a mirror image across the shared axis
+                    assert cross_sign(*mate.vertices) == -cross_sign(*tile.vertices)
+                    assert mate.glue_edge(mode) == tile.glue_edge(mode)
+                    old = _mate_by_norm(tile, mode)
+                    assert old is None or old == mate
+                    known += old is not None
+    assert 0 < known < 2 * len(scales)   # the norm route gives up on large scales
+
+
+def test_mirror_mate_of_a_half_kite_with_a_long_axis():
+    axis = Cyclo(2) + Cyclo.zeta(1)     # 2 + zeta: no phi power in length
+    a = Cyclo(3, 1)
+    tile = HalfTile("acute", (a, a + axis * ROT36.conjugate(), a + axis))
+    tile.check_shape("p2")
+    assert _mate_by_norm(tile, "p2") is None
+    mate = mirror_mate(tile, "p2")
+    assert mate == HalfTile("acute", (a, a + axis * ROT36, a + axis))
+    mate.check_shape("p2")
+
+
+def test_mirror_mate_refuses_a_turn_of_no_tenth_root():
+    with pytest.raises(ValueError, match="apex turn"):
+        mirror_mate(HalfTile("acute", (Cyclo(), Cyclo(2), Cyclo(1, 1))), "p2")
 
 
 def test_empty_pairing():
