@@ -145,12 +145,11 @@ def cmd_tile(args: argparse.Namespace) -> int:
     patch = tilings.seed(args.type, args.seed)
     if args.doubled:
         patch = tilings.mirror_double(patch)
-    patch = tilings.deflate(patch, args.steps)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            jsonio.write_patch(patch, fh.write)
+            jsonio.write_patch(patch, fh.write, args.steps)
     else:
-        jsonio.write_patch(patch, sys.stdout.write)
+        jsonio.write_patch(patch, sys.stdout.write, args.steps)
     return 0
 
 

@@ -308,7 +308,7 @@ def encode_patch(p: tilings.Patch) -> dict:
             "roots": [_encode_node(r) for r in p.roots]}
 
 
-_FLUSH_PARTS = 4096   # pieces gathered before one call of `write`
+_FLUSH_PARTS = 256   # pieces gathered before one call of `write`
 # a patch document without roots and a leaf at indent "\n", as `%` templates
 _PATCH_HEAD, _PATCH_END = dumps_canonical(
     {"depth": "%d", "mode": "%s", "roots": [], "schema_version": SCHEMA_VERSION}
@@ -317,27 +317,30 @@ _LEAF = dumps_canonical({"children": [], "kind": "%s", "vertices": [["%d"] * 4] 
 _LEAF = _LEAF.rstrip("\n").replace('"%d"', "%d")
 
 
-def write_patch(p: tilings.Patch, write: Callable[[str], Any]) -> None:
-    """Send `dumps_canonical(encode_patch(p))` to `write` in pieces of about
-    `_FLUSH_PARTS` fragments.  Nodes at one indent differ only in their kind
-    (a plain name), their 12 coordinates and their children, so each is one or
-    two `%` formats of templates made once per indent from `_LEAF`.
+def write_patch(p: tilings.Patch, write: Callable[[str], Any], steps: int = 0) -> None:
+    """Send `dumps_canonical(encode_patch(tilings.deflate(p, steps)))` to `write` in
+    pieces of about `_FLUSH_PARTS` fragments, each leaf grown by `tilings.unfold` as it
+    is written: no tree is made.  Nodes at one indent differ only in their kind, their
+    12 coordinates and their children, so each is one or two `%` formats of templates
+    made once per indent from `_LEAF`.
     """
-    parts = [_PATCH_HEAD % (p.depth, p.mode)]
-    _emit(p.roots, "\n", parts, {}, write)
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    parts = [_PATCH_HEAD % (p.depth + steps, p.mode)]
+    _emit(p.roots, steps, "\n", parts, {}, write, p.mode)
     parts.append(_PATCH_END)
     write("".join(parts))
 
 
-def _emit(nodes: Sequence[tilings.Node], nl: str, parts: list[str],
-          forms: dict[str, tuple[str, str, str]], write: Callable[[str], Any]) -> None:
-    """Put `nodes` as a list held at indent `nl` into `parts`; `forms` maps a node
-    indent to its (opening, leaf, tail) templates.  A module-level recursion, so no
-    closure cycle keeps `parts` alive after the call."""
+def _emit(nodes: Sequence, levels: int, nl: str, parts: list[str], forms: dict,
+          write: Callable[[str], Any], mode: tilings.Mode) -> None:
+    """Put `nodes` (read by `tilings.unfold`, leaves growing `levels` levels) as a list at
+    indent `nl` into `parts`; `forms` maps a node indent to its (opening, leaf, tail)
+    templates.  A module-level recursion: no closure cycle keeps `parts` alive."""
     if len(parts) >= _FLUSH_PARTS:
         write("".join(parts))
         parts.clear()
-    put = parts.append
+    put, unfold = parts.append, tilings.unfold
     if not nodes:
         put("[]")
         return
@@ -348,15 +351,13 @@ def _emit(nodes: Sequence[tilings.Node], nl: str, parts: list[str],
     opening, leaf, tail = forms[at]
     sep = "[" + at
     for node in nodes:
-        tile, kids = node.tile, node.children
-        a, b1, b2 = tile.vertices
-        values = (tile.kind,) + a.c + b1.c + b2.c
+        kind, (a, b1, b2), kids, lv = unfold(node, levels, mode)
         if kids:
             put(sep + opening)
-            _emit(kids, at, parts, forms, write)
-            put(tail % values)
+            _emit(kids, lv, at, parts, forms, write, mode)
+            put(tail % (kind, *a, *b1, *b2))
         else:
-            put(leaf % ((sep,) + values))
+            put(leaf % (sep, kind, *a, *b1, *b2))
         sep = "," + at
     put(nl + "  ]")
 

@@ -17,14 +17,14 @@ multiplying through by phi once per level: a vertex stored at tree depth k
 means (stored value) * phi^(-k).  Inflation removes tree levels, so it is an
 exact inverse of deflation.
 
-One table, kept for the life of the process, holds the substitution: for
-each (mode, `tile_key`), the children's kinds and their offsets from the
-lifted apex, made by the mode's rule with every child's shape checked (40
-keys per mode at the seeds' scale).  `deflate` grows from it; `verify_patch`,
+One table, kept for the life of the process, holds the substitution: for each
+(mode, `tile_key`), the children's kinds and their offsets from the lifted apex,
+made by the mode's rule with every child's shape checked (40 keys per mode at the
+seeds' scale).  `unfold` grows tiles from it in integers, for `deflate` and for
+`jsonio.write_patch`, which writes each grown tile as it is made.  `verify_patch`,
 the one check of a tree (patch loading runs it), compares every node's children
-with it and every leaf's depth with the patch's, naming a fault's node by its
-index path.  That the entries tile their parents is checked apart from the
-rules, by directed-edge cancellation in the tests.
+with it and every leaf's depth with the patch's, naming a fault's node by its path.
+The tests check apart, by directed-edge cancellation, that entries tile their parents.
 """
 from __future__ import annotations
 
@@ -393,6 +393,8 @@ def leaf_count(kind: Kind, roots: int, steps: int) -> int:
     at the first depth whose count exceeds MAX_TILE_LEAVES and returns that
     count: then a lower bound, but already over the budget.
     """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     a, o = (roots, 0) if kind == "acute" else (0, roots)
     for _ in range(steps):
         if a + o > MAX_TILE_LEAVES:
@@ -404,38 +406,46 @@ def leaf_count(kind: Kind, roots: int, steps: int) -> int:
 def deflate(patch: Patch, steps: int) -> Patch:
     """Apply the substitution `steps` times to every leaf.
 
-    Each leaf grows from its `substitution` entry, moved by its lifted apex;
-    points are tabled once per call.
+    Each leaf grows by `unfold`; points are tabled once per call.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     points: dict[tuple[int, ...], Cyclo] = {}
-    return Patch(patch.mode, tuple(_grow(r.tile, r.children, steps, patch.mode, points)
-                                   for r in patch.roots), patch.depth + steps)
+    return Patch(patch.mode, tuple(_grow(r, steps, patch.mode, points) for r in patch.roots),
+                 patch.depth + steps)
 
 
-def _grow(tile: HalfTile, kids: Optional[tuple[Node, ...]], levels: int, mode: Mode,
-          points: dict[tuple[int, ...], Cyclo], key: Optional[tuple] = None) -> Node:
-    """`deflate`'s Node of `tile` over input children `kids` (None for a new
-    tile, whose table key is `key`), leaves substituted `levels` times, one
-    `Cyclo` per point."""
-    if kids is not None:   # an input tile: its points enter the table
-        tile = HalfTile(tile.kind, tuple(points.setdefault(v.c, v) for v in tile.vertices))
-        if kids:
-            return Node(tile, tuple(_grow(k.tile, k.children, levels, mode, points)
-                                    for k in kids))
-    if not levels:
-        return Node(tile)
-    l0, l1, l2, l3 = _lift(tile.vertices[0]).c
-    grown = []
-    for kind, offsets, child_key in substitution(mode, tile, key):
-        verts = []
-        for o0, o1, o2, o3 in offsets:
-            c = (l0 + o0, l1 + o1, l2 + o2, l3 + o3)
-            verts.append(points.get(c) or enter_point(points, c))
-        grown.append(_grow(HalfTile(kind, tuple(verts)), None, levels - 1, mode, points,
-                           child_key))
-    return Node(tile, tuple(grown))
+def _grow(node: "Node | tuple", levels: int, mode: Mode,
+          points: dict[tuple[int, ...], Cyclo]) -> Node:
+    """`deflate`'s Node of `node` (as `unfold` reads it), one `Cyclo` per point."""
+    kind, (a, b, c), kids, levels = unfold(node, levels, mode)
+    get = points.get
+    tile = HalfTile(kind, (get(a) or enter_point(points, a), get(b) or enter_point(points, b),
+                           get(c) or enter_point(points, c)))
+    return Node(tile, tuple([_grow(k, levels, mode, points) for k in kids])) if kids else Node(tile)
+
+
+def unfold(node: "Node | tuple", levels: int, mode: Mode) -> tuple:
+    """(kind, point tuples, children, the children's `levels`) of `node`, an input `Node`
+    or a grown tile (kind, point tuples, table key), whose leaves grow `levels` levels:
+    a leaf's children are its `substitution` entry moved by its lifted apex, as grown
+    tiles.  Integers only, but for an input leaf or a table key seen first."""
+    if type(node) is Node:
+        (a, b, c), key, kids = node.tile.vertices, None, node.children
+        kind, verts = node.tile.kind, (a.c, b.c, c.c)
+    else:
+        (kind, verts, key), kids = node, ()
+    if kids or not levels:
+        return kind, verts, kids, levels
+    rule = _RULES.get(key)   # else the key is new, or an input leaf's, not yet known
+    rule = rule or substitution(mode, HalfTile(kind, tuple(Cyclo(*v) for v in verts)), key)
+    a0, a1, a2, a3 = verts[0]
+    l0, l1, l2, l3 = a1 - a3, a1 + a2 - a3, a1 + a2 - a0, a2 - a0   # `_lift` of the apex
+    return kind, verts, [
+        (k, ((l0 + p0, l1 + p1, l2 + p2, l3 + p3), (l0 + q0, l1 + q1, l2 + q2, l3 + q3),
+             (l0 + r0, l1 + r1, l2 + r2, l3 + r3)), child_key)
+        for k, ((p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3)), child_key in rule
+    ], levels - 1
 
 
 def enter_point(points: dict[tuple[int, ...], Cyclo], c: tuple[int, ...]) -> Cyclo:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -369,6 +370,27 @@ def test_tile_over_budget_refused_before_any_work(steps, leaves, tmp_path, capsy
     assert not out.exists()
 
 
+def test_tile_refuses_negative_steps_before_opening_the_output(tmp_path, capsys):
+    out = tmp_path / "patch.json"
+    code, stdout, err = run(capsys, "tile", "--type", "p2", "--steps", "-1", "--output", str(out))
+    assert (code, stdout, err) == (1, "", "error: steps must be non-negative\n")
+    assert not out.exists()
+
+
+def test_tile_memory_stays_flat_with_depth(tmp_path):
+    out = str(tmp_path / "patch.json")
+    assert main(["tile", "--type", "p3", "--steps", "3", "--output", out]) == 0   # fills the table
+    peaks = {}
+    for steps in (5, 9):
+        tracemalloc.start()
+        try:
+            assert main(["tile", "--type", "p3", "--steps", str(steps), "--output", out]) == 0
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[9] < 1 << 20 and peaks[9] - peaks[5] < 1 << 19, peaks
+
+
 def test_tile_output_file_equals_stdout(tmp_path, capsys):
     argv = ["tile", "--type", "p3", "--steps", "6", "--seed", "obtuse", "--doubled"]
     code, stdout, _ = run(capsys, *argv)
@@ -537,12 +559,12 @@ def test_main_leaves_the_collector_as_it_found_it(argv, code, enabled, tmp_path,
     argv = [a.format(doc=doc) for a in argv]
     during = []
 
-    def deflate_raising(*args):
+    def raising(*args):
         during.append(gc.isenabled())
         raise RuntimeError("boom")
 
     if code is None:
-        monkeypatch.setattr(tilings, "deflate", deflate_raising)
+        monkeypatch.setattr(jsonio, "write_patch", raising)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:

@@ -116,6 +116,13 @@ def test_write_patch_pieces_join_to_dumps(flush, monkeypatch):
     pieces, empty = [], Patch("p2", (), 3)
     jsonio.write_patch(empty, pieces.append)
     assert "".join(pieces) == _reference(jsonio.encode_patch(empty))
+    for start, steps in [(seed("p2"), 7), (mirror_double(seed("p3", "obtuse")), 6),
+                         (deflate(seed("p2", "obtuse"), 3), 4), (seed("p3"), 0),
+                         (empty, 0), (empty, 2)]:
+        pieces = []
+        jsonio.write_patch(start, pieces.append, steps)   # grown as it is written
+        assert "".join(pieces) == jsonio.dumps_canonical(
+            jsonio.encode_patch(deflate(start, steps)))
 
 
 SEEDS = [(mode, kind, doubled) for mode in ("p2", "p3") for kind in ("acute", "obtuse")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from quasitoric.polytope import (DegenerateCutError, HalfSpace, PolytopeH,
                                  ValidationReport, VertexData, cut, cut_with_maps)
 
 import fieldmatrix
-from halves import seeded_cuts, seeded_halves
+from halves import SIMPLE_EXAMPLES, seeded_cuts, seeded_halves
 
 
 def kv(*xs, d=0):
@@ -400,3 +401,72 @@ def test_cut_halves_satisfy_euler_and_cut_additivity():
                     if su.sign() * sw.sign() < 0:
                         expected.add(u.point + (w.point - u.point).scale(su / (su - sw)))
                 assert {v.point for v in verts} == expected, name
+
+
+# -- the h-vector two ways ---------------------------------------------------------
+#
+# The Betti numbers of the toric quasifold of a simple polytope are its h-vector
+# (Battaglia-Prato 2001), which the scan's output gives twice: from the active facet
+# sets alone, and from coordinates and adjacency as Morse counts (Ziegler, Lectures
+# on Polytopes, ch. 8).  The two agree, are palindromic (Dehn-Sommerville) and sum
+# to the vertex count only if the vertex set is right.
+
+
+def h_from_faces(verts, n):
+    """Every k-subset of a vertex's active facets is a face of codimension k, which
+    gives the f-vector; then sum_i h_i t^i = sum_i f_i (t - 1)^i."""
+    f = [len({s for v in verts for s in itertools.combinations(v.active_facets, n - i)})
+         for i in range(n + 1)]   # f[i]: the faces of dimension i
+    return [sum(f[i] * math.comb(i, j) * (-1) ** (i - j) for i in range(j, n + 1))
+            for j in range(n + 1)]
+
+
+def h_from_morse(verts, n, rng, d):
+    """h_k = the vertices with exactly k neighbours of lower <xi, x>, for a direction xi
+    drawn from `rng` with no tie between neighbours (a tie draws a new xi); vertices are
+    neighbours when they share n - 1 active facets."""
+    near = [[w for w in verts if len(set(v.active_facets) & set(w.active_facets)) == n - 1]
+            for v in verts]
+    for _ in range(100):
+        xi = KVector([fe(rng.randint(-9, 9), rng.randint(-9, 9) if d else 0, d)
+                      for _ in range(n)], d=d)
+        value = {v: xi.dot(v.point) for v in verts}
+        if any(value[v] == value[w] for v, ws in zip(verts, near) for w in ws):
+            continue
+        lower = [sum(value[w] < value[v] for w in ws) for v, ws in zip(verts, near)]
+        return [lower.count(k) for k in range(max(lower) + 1)]
+    raise AssertionError("no direction without a tie between neighbours in 100 draws")
+
+
+def assert_h_vector(p, rng):
+    """The h-vector of simple `p` two ways, along three directions; returns it."""
+    verts, n = p.vertices(), p.dim
+    h = h_from_faces(verts, n)
+    assert h == h[::-1] and sum(h) == len(verts), h
+    for _ in range(3):
+        assert h_from_morse(verts, n, rng, p.field_d) == h
+    return tuple(h)
+
+
+def test_h_vector_two_ways_on_examples_halves_and_random_polyhedra():
+    rng = random.Random("h-vector")
+    h = {name: assert_h_vector(get_example(name).polytope, rng) for name in SIMPLE_EXAMPLES}
+    assert h["dodecahedron"] == (1, 9, 9, 1)
+    assert h["cube"] == h["prolate_rhombohedron"] == h["oblate_rhombohedron"] == (1, 3, 3, 1)
+    assert h["kite"] == h["thick_rhombus"] == h["thin_rhombus"] == (1, 2, 1)
+    assert h["tetrahedron"] == (1, 1, 1, 1)
+    halves = [half for name in ("cube", "dodecahedron", "kite", "tetrahedron", "quasisphere")
+              for half in seeded_halves(get_example(name), random.Random(f"h:{name}"), 1)]
+    for half in halves:
+        assert half.polytope.validate().simple
+        assert_h_vector(half.polytope, rng)
+    simple = 0
+    for d in (0, 2, 3, 5):
+        shapes = random.Random(f"polyhedra:{d}")   # the polyhedra of the test above
+        for _ in range(40):
+            p = random_polyhedron(shapes, d, shapes.choice((2, 3)))
+            report = p.validate()
+            if report.bounded and report.full_dim and report.simple:
+                assert_h_vector(p, rng)
+                simple += 1
+    assert simple
