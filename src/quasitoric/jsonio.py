@@ -3,8 +3,10 @@
 Field elements travel as rational strings: {"a": "p/q", "b": "r/s"} under a
 document-wide {"field": {"D": ...}} context, which keeps files exact and
 language neutral.  Encoding is canonical (sorted keys, fixed separators), so
-equal objects produce identical bytes.  Integer fields test `type(x) is int`:
-JSON `true`/`false` load as `bool`, an `int` subclass, and are refused.
+equal objects produce identical bytes.  Patch documents are compact (separators
+`","` and `":"`, no whitespace); every other document is `dumps_canonical`'s
+indented text.  Integer fields test `type(x) is int`: JSON `true`/`false` load
+as `bool`, an `int` subclass, and are refused.
 """
 from __future__ import annotations
 
@@ -309,57 +311,47 @@ def encode_patch(p: tilings.Patch) -> dict:
 
 
 _FLUSH_PARTS = 256   # pieces gathered before one call of `write`
-# a patch document without roots and a leaf at indent "\n", as `%` templates
-_PATCH_HEAD, _PATCH_END = dumps_canonical(
-    {"depth": "%d", "mode": "%s", "roots": [], "schema_version": SCHEMA_VERSION}
-).replace('"%d"', "%d").split("[]")
-_LEAF = dumps_canonical({"children": [], "kind": "%s", "vertices": [["%d"] * 4] * 3})
-_LEAF = _LEAF.rstrip("\n").replace('"%d"', "%d")
+# compact text: a patch document around its roots, a node around its children
+_PATCH_HEAD = '{"depth":%d,"mode":"%s","roots":['
+_PATCH_END = f'],"schema_version":{SCHEMA_VERSION}}}\n'
+_OPEN = '{"children":['
+_TAIL = '],"kind":"%s","vertices":[' + ",".join(["[%d,%d,%d,%d]"] * 3) + "]}"
+_LEAF = "%s" + _OPEN + _TAIL
 
 
 def write_patch(p: tilings.Patch, write: Callable[[str], Any], steps: int = 0) -> None:
-    """Send `dumps_canonical(encode_patch(tilings.deflate(p, steps)))` to `write` in
-    pieces of about `_FLUSH_PARTS` fragments, each leaf grown by `tilings.unfold` as it
-    is written: no tree is made.  Nodes at one indent differ only in their kind, their
-    12 coordinates and their children, so each is one or two `%` formats of templates
-    made once per indent from `_LEAF`.
+    """Send `json.dumps(encode_patch(tilings.deflate(p, steps)), sort_keys=True,
+    separators=(",", ":")) + "\\n"` to `write` in pieces of about `_FLUSH_PARTS`
+    fragments, each leaf grown by `tilings.unfold` as it is written: no tree is made.
+    Nodes differ only in their kind, their 12 coordinates and their children, so each
+    is one or two `%` formats of the templates above.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     parts = [_PATCH_HEAD % (p.depth + steps, p.mode)]
-    _emit(p.roots, steps, "\n", parts, {}, write, p.mode)
+    _emit(p.roots, steps, parts, write, p.mode)
     parts.append(_PATCH_END)
     write("".join(parts))
 
 
-def _emit(nodes: Sequence, levels: int, nl: str, parts: list[str], forms: dict,
-          write: Callable[[str], Any], mode: tilings.Mode) -> None:
-    """Put `nodes` (read by `tilings.unfold`, leaves growing `levels` levels) as a list at
-    indent `nl` into `parts`; `forms` maps a node indent to its (opening, leaf, tail)
-    templates.  A module-level recursion: no closure cycle keeps `parts` alive."""
+def _emit(nodes: Sequence, levels: int, parts: list[str], write: Callable[[str], Any],
+          mode: tilings.Mode) -> None:
+    """Put `nodes` (read by `tilings.unfold`, leaves growing `levels` levels) into
+    `parts` as the items of a list, without its brackets.  A module-level recursion:
+    no closure cycle keeps `parts` alive."""
     if len(parts) >= _FLUSH_PARTS:
         write("".join(parts))
         parts.clear()
-    put, unfold = parts.append, tilings.unfold
-    if not nodes:
-        put("[]")
-        return
-    at = nl + "    "
-    if at not in forms:
-        opening, tail = _LEAF.replace("\n", at).split("[]")
-        forms[at] = opening, "%s" + opening + "[]" + tail, tail
-    opening, leaf, tail = forms[at]
-    sep = "[" + at
+    put, unfold, sep = parts.append, tilings.unfold, ""
     for node in nodes:
         kind, (a, b1, b2), kids, lv = unfold(node, levels, mode)
         if kids:
-            put(sep + opening)
-            _emit(kids, lv, at, parts, forms, write, mode)
-            put(tail % (kind, *a, *b1, *b2))
+            put(sep + _OPEN)
+            _emit(kids, lv, parts, write, mode)
+            put(_TAIL % (kind, *a, *b1, *b2))
         else:
-            put(leaf % (sep, kind, *a, *b1, *b2))
-        sep = "," + at
-    put(nl + "  ]")
+            put(_LEAF % (sep, kind, *a, *b1, *b2))
+        sep = ","
 
 
 def _node_fault(obj: Any) -> Optional[tuple[str, str]]:

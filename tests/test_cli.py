@@ -478,6 +478,46 @@ def test_render_refuses_children_that_are_not_the_substitution(fault, path, flag
     assert not svg.exists()
 
 
+SEEDS = [(mode, kind, doubled) for mode in ("p2", "p3") for kind in ("acute", "obtuse")
+         for doubled in (False, True)]
+
+
+@pytest.mark.parametrize("mode, kind, doubled", SEEDS)
+def test_indented_patch_documents_still_render(mode, kind, doubled, tmp_path, capsys):
+    # `dumps_canonical` gives the indented text `tile` wrote before its documents were compact
+    start = tilings.mirror_double(seed(mode, kind)) if doubled else seed(mode, kind)
+    old, new = tmp_path / "indented.json", tmp_path / "compact.json"
+    old.write_text(jsonio.dumps_canonical(jsonio.encode_patch(deflate(start, 5))))
+    tile = ["tile", "--type", mode, "--seed", kind, "--steps", "5", "--output", str(new)]
+    assert run(capsys, *tile, *(["--doubled"] if doubled else [])) == (0, "", "")
+    for flags in ([], ["--paired"]):
+        svgs = [run(capsys, "render", "--input", str(path), *flags) for path in (old, new)]
+        assert svgs[0] == svgs[1] and svgs[0][0] == 0 and "<polygon" in svgs[0][1]
+
+
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_a_moved_child_is_refused_at_its_path_in_either_layout(flags, tmp_path, capsys):
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    _move_leaf(doc)
+    old, new = tmp_path / "indented.json", tmp_path / "compact.json"
+    old.write_text(jsonio.dumps_canonical(doc))
+    new.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    assert "\n    " in old.read_text() and " " not in new.read_text()
+    refusals = [run(capsys, "render", "--input", str(path), *flags) for path in (old, new)]
+    assert refusals[0] == refusals[1] == (1, "", "parse error: $.roots[0].children[1].children: "
+                                          "child 0 is not the p2 substitution of the parent\n")
+
+
+@pytest.mark.parametrize("mode", ["p2", "p3"])
+def test_tile_writes_under_200_bytes_a_leaf(mode, tmp_path, capsys):
+    out = tmp_path / "patch.json"
+    for steps in range(11):
+        assert run(capsys, "tile", "--type", mode, "--steps", str(steps),
+                   "--output", str(out)) == (0, "", "")
+        leaves = tilings.leaf_count("acute", 1, steps)
+        assert out.stat().st_size < 200 * leaves, (steps, out.stat().st_size / leaves)
+
+
 @pytest.mark.parametrize("argv", [["validate", "--example", "cube", "--format", "json"],
                                   ["tile", "--type", "p2", "--no-such-flag"],
                                   ["render", "--star", "five"],

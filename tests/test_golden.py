@@ -5,11 +5,13 @@ canonical forms or document layout shows up here.  Regenerate them only for a
 deliberate change of output.
 """
 import hashlib
+import json
 
 import pytest
 
 from quasitoric.cli import main
 from quasitoric.examples import EXAMPLES
+from quasitoric.jsonio import dumps_canonical
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -100,16 +102,30 @@ GOLDEN = {
         (0, "4cf3c49836f79ec2abf7ed38d50ab2908bc0dad263af648554a79435a2f335d3"),
     "cut --example dodecahedron --normal 0,2,0 --level 1/3":
         (0, "92a4e3505d60acfb741310090210609364b3f9adb758102e2eb58ff35c8cfd27"),
+    # re-recorded when `tile` began writing compact JSON; GOLDEN_INDENTED keeps the trees
     "tile --type p3 --steps 5 --doubled":
-        (0, "4ad85919a7e1085b208c0c635ee4e9134cc7a632f9f3c86a16c89e6e4cb80646"),
+        (0, "2127e19d3b10a1f8e21080af72ad2afcfc15decdf0f6e11b74af52d4b174da5a"),
     "tile --type p2 --steps 8":
-        (0, "cf5e479bf38ad733782d581892b5a597755fd4af4501f1b17388090a45be4f9b"),
+        (0, "7c55f2e4d102966af4801e2a5add22e98aec62488191a3d37f8438726c558c33"),
     "tile --type p2 --seed obtuse --steps 7 --doubled":
-        (0, "fe3de1584baf744d646e765916f80614a295d50df17cbbb4598a456877c7e32a"),
+        (0, "01d4f35030da1777dde4ad863e92e38bf92ea61ba8b30f4ea59fd8f5a6bdcfaf"),
     "tile --type p3 --steps 8":
-        (0, "233bdfa36b750dca20773866e0941c2bc6772c3d7290ef3d4b56faf5ed81c743"),
+        (0, "a93f2bb6226eb480074f2fa151a4b507b9aea747b5525d1c933b8b0750f0b074"),
     "render --star":
         (0, "51b2d4a4bedd8570c3faed0a519a0603aa3643021141a698a23d7fe0f05cf10a"),
+}
+
+# the `tile` goldens before patch documents became compact: the digest of
+# `dumps_canonical(json.loads(out))`, the old indented text of the same tree
+GOLDEN_INDENTED = {
+    "tile --type p3 --steps 5 --doubled":
+        "4ad85919a7e1085b208c0c635ee4e9134cc7a632f9f3c86a16c89e6e4cb80646",
+    "tile --type p2 --steps 8":
+        "cf5e479bf38ad733782d581892b5a597755fd4af4501f1b17388090a45be4f9b",
+    "tile --type p2 --seed obtuse --steps 7 --doubled":
+        "fe3de1584baf744d646e765916f80614a295d50df17cbbb4598a456877c7e32a",
+    "tile --type p3 --steps 8":
+        "233bdfa36b750dca20773866e0941c2bc6772c3d7290ef3d4b56faf5ed81c743",
 }
 
 # `render --input <the patch written by the tile command>` plus extra flags
@@ -141,6 +157,13 @@ def test_golden_output(command, capsys):
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_INDENTED))
+def test_golden_tile_trees(command, capsys):
+    assert command in GOLDEN and main(command.split()) == 0
+    indented = dumps_canonical(json.loads(capsys.readouterr().out))
+    assert hashlib.sha256(indented.encode()).hexdigest() == GOLDEN_INDENTED[command]
 
 
 @pytest.mark.parametrize("tile, flags", sorted(GOLDEN_RENDER))

@@ -1,5 +1,6 @@
-"""The canonical emitter against `json.dumps(sort_keys=True, indent=2)`, and
-the patch decoder's two entry points against each other."""
+"""The canonical emitter against `json.dumps(sort_keys=True, indent=2)`, the
+patch writer against compact `json.dumps`, and the patch decoder's two entry
+points against each other."""
 import contextlib
 import copy
 import io
@@ -54,6 +55,11 @@ def _doc(rng, depth):
 
 def _reference(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _compact(doc):
+    """The bytes `tile` writes for the patch document `doc`."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_dumps_canonical_matches_json_on_random_documents():
@@ -112,21 +118,29 @@ def test_write_patch_pieces_join_to_dumps(flush, monkeypatch):
     pieces = []
     jsonio.write_patch(patch, pieces.append)
     assert len(pieces) > 1                       # streamed, not one string
-    assert "".join(pieces) == _reference(jsonio.encode_patch(patch))
+    text = "".join(pieces)
+    assert text == _compact(jsonio.encode_patch(patch))
+    assert jsonio.dumps_canonical(json.loads(text)) == _reference(jsonio.encode_patch(patch))
     pieces, empty = [], Patch("p2", (), 3)
     jsonio.write_patch(empty, pieces.append)
-    assert "".join(pieces) == _reference(jsonio.encode_patch(empty))
+    assert "".join(pieces) == _compact(jsonio.encode_patch(empty))
     for start, steps in [(seed("p2"), 7), (mirror_double(seed("p3", "obtuse")), 6),
                          (deflate(seed("p2", "obtuse"), 3), 4), (seed("p3"), 0),
                          (empty, 0), (empty, 2)]:
         pieces = []
         jsonio.write_patch(start, pieces.append, steps)   # grown as it is written
-        assert "".join(pieces) == jsonio.dumps_canonical(
-            jsonio.encode_patch(deflate(start, steps)))
+        doc = jsonio.encode_patch(deflate(start, steps))
+        text = "".join(pieces)
+        assert text == _compact(doc)
+        assert jsonio.dumps_canonical(json.loads(text)) == jsonio.dumps_canonical(doc)
 
 
 SEEDS = [(mode, kind, doubled) for mode in ("p2", "p3") for kind in ("acute", "obtuse")
          for doubled in (False, True)]
+
+
+def _start(mode, kind, doubled):
+    return mirror_double(seed(mode, kind)) if doubled else seed(mode, kind)
 
 
 def _tile_text(mode, kind, doubled, depth):
@@ -152,24 +166,27 @@ def _vertices(patch):
 
 @pytest.mark.parametrize("mode, kind, doubled", SEEDS)
 def test_tile_writes_the_encoded_patch(mode, kind, doubled, tmp_path):
-    start = seed(mode, kind)
-    if doubled:
-        start = mirror_double(start)
+    start = _start(mode, kind, doubled)
     out = tmp_path / "patch.json"
     for depth in range(7):
-        expected = jsonio.dumps_canonical(jsonio.encode_patch(deflate(start, depth)))
-        assert _tile_text(mode, kind, doubled, depth) == expected
+        doc = jsonio.encode_patch(deflate(start, depth))
+        text = _tile_text(mode, kind, doubled, depth)
+        assert text == _compact(doc)
+        assert jsonio.dumps_canonical(json.loads(text)) == jsonio.dumps_canonical(doc)
         assert main(["tile", "--type", mode, "--seed", kind, "--steps", str(depth),
                      "--output", str(out)] + (["--doubled"] if doubled else [])) == 0
-        assert out.read_text(encoding="utf-8") == expected
+        assert out.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("mode, kind, doubled", SEEDS)
 def test_decoded_patches_re_emit_the_tile_bytes(mode, kind, doubled):
     for depth in range(7):
         text = _tile_text(mode, kind, doubled, depth)
+        grown = deflate(_start(mode, kind, doubled), depth)
+        assert jsonio.dumps_canonical(json.loads(text)) == jsonio.dumps_canonical(
+            jsonio.encode_patch(grown))
         for patch in (_hooked(text), jsonio.parse_patch(json.loads(text))):
-            assert jsonio.dumps_canonical(jsonio.encode_patch(patch)) == text
+            assert _compact(jsonio.encode_patch(patch)) == text
             verts = _vertices(patch)
             assert len({id(v) for v in verts}) == len({v.c for v in verts})   # one Cyclo per point
 
