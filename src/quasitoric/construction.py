@@ -7,7 +7,10 @@ certified in Q), this module computes:
     the canonical kernel basis of the map e_j -> X_j;
   * the cutting group data: continuous generators (the kernel rows again, read
     as exponent directions on the d-torus), discrete generators representing
-    the component group, and the component group's invariant factors;
+    the component group, and the component group's invariant factors.  Both
+    read one fraction-free elimination over Z[sqrt D] of [pi | the generators],
+    pi having the normals as columns, and one Smith form of the relations and
+    certificates, which says which generators lie in the Z-span of the normals;
   * one chart per vertex, with exact domain inequalities and the countable
     chart group acting by angles mod Z^n.  At a simple vertex the n active
     normals form a basis, so both are coordinates in that basis: of the other
@@ -28,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import FieldElem, KMatrix, KVector, _eliminate, _integer_rows, _over
-from .intlattice import AbelianGroupInvariants, int_solve
+from .field import FieldElem, KVector, _canonical_kernel, _eliminate, _integer_rows, _over
+from .intlattice import AbelianGroupInvariants, int_solve  # int_solve: a perfbench trace site
 from .polytope import PolytopeH, VertexData, cut_with_maps
 from .quasilattice import (Quasilattice, certify, combination, is_discrete,
-                           quotient_by, split_target)
+                           quotient_and_spanned, quotient_by)
 
 
 class DegenerateTripleError(ValueError):
@@ -147,58 +150,34 @@ class Classification:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_torus_class(theta: KVector, cont_gens: Sequence[KVector],
-                        pivots: Sequence[int]) -> KVector:
-    """Deterministic representative of theta mod (Z^d + span of cont_gens).
-
-    First the kernel component is removed by zeroing the echelon pivot
-    coordinates, then every coordinate is floor-reduced into [0, 1).
-    """
-    for g, p in zip(cont_gens, pivots):
-        theta = theta - g.scale(theta[p])
-    return KVector([x.mod1() for x in theta], d=theta.d)
-
-
-def _in_normal_span(triple: Triple, target: KVector) -> bool:
-    """Exact test for target in the Z-span of the facet normals."""
-    mat, rhs = split_target(target, triple.normals, triple.polytope.dim)
-    return int_solve(mat, rhs, ncols=triple.polytope.d) is not None
-
-
 def build_presentation(triple: Triple) -> Presentation:
     triple.ensure_valid()
-    pi = KMatrix(zip(*triple.normals))   # n x d, the facet normals as columns
-    d, n = triple.polytope.d, triple.polytope.dim
-    kernel = pi.kernel_basis()
+    d, n, fd = triple.polytope.d, triple.polytope.dim, triple.polytope.field_d
+    # [pi | every generator], pi = the facet normals as columns, of rank n: every
+    # pivot falls in pi, and column d + i over the last pivot delta holds a
+    # solution of pi x = generator i, zero at pi's free columns
+    m, pivots, delta = _eliminate(
+        _integer_rows(zip(*triple.normals, *triple.lattice.generators)), fd)
+    if len(pivots) != n or pivots[-1] >= d:
+        raise AssertionError("internal invariant breach: a pivot outside the normals")
+    kernel, kernel_pivots = _canonical_kernel(m, pivots, delta, d, fd)
     assert len(kernel) == d - n
-    pivots = []
-    for row in kernel:
-        piv = next(i for i, x in enumerate(row) if not x.is_zero())
-        if row[piv] != 1:
-            raise AssertionError("internal invariant breach: non-monic kernel row")
-        pivots.append(piv)
+    if any(row.is_zero() for row in kernel):
+        raise AssertionError("internal invariant breach: zero level row")
+    levels = KVector(triple.levels, fd)
+    rows = tuple(LevelRow(row, -row.dot(levels)) for row in kernel)
 
-    rows = []
-    zero = triple.levels[0].zero()
-    for row in kernel:
-        if row.is_zero():
-            raise AssertionError("internal invariant breach: zero level row")
-        const = zero
-        for coeff, lam in zip(row, triple.levels):
-            const = const - coeff * lam
-        rows.append(LevelRow(row, const))
-
-    disc = []
-    for gen in triple.lattice.generators:
-        if _in_normal_span(triple, gen):
-            continue  # zero class
-        sol = pi.solve(gen)
-        assert sol is not None
-        theta = _reduce_torus_class(sol[0], kernel, pivots)
-        disc.append(theta)
-
-    component = quotient_by(triple.lattice, triple.certificates)
-    return Presentation(d, n, tuple(rows), tuple(kernel), tuple(disc), component)
+    component, spanned = quotient_and_spanned(triple.lattice, triple.certificates)
+    disc, zero = [], levels[0].zero()
+    for c in (c for c, inside in enumerate(spanned, d) if not inside):   # nonzero classes
+        theta = [zero] * d
+        for i, p in enumerate(pivots):
+            theta[p] = _over(m[i][c], delta, fd)
+        # theta mod (Z^d + the kernel's span): zero its kernel pivots, then floor mod 1
+        for g, p in zip(kernel, kernel_pivots):
+            theta = [x - y * theta[p] for x, y in zip(theta, g)]
+        disc.append(KVector([x.mod1() for x in theta], fd))
+    return Presentation(d, n, rows, tuple(kernel), tuple(disc), component)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,32 @@ def _over(num: _Pair, den: _Pair, d: int) -> FieldElem:
     return _make(x * c - y * e * d, y * c - x * e, c * c - e * e * d, d)
 
 
+def _reduced_rows(m: list[list[_Pair]], pivots: list[int], delta: _Pair, d: int,
+                  ) -> list[KVector]:
+    """The reduced echelon rows of an `_eliminate` result (m, pivots, delta)."""
+    zero, one = _make(0, 0, 1, d), _make(1, 0, 1, d)
+    stale = set(pivots)
+    return [KVector([one if j == p else zero if j in stale else _over(x, delta, d)
+                     for j, x in enumerate(m[i])], d) for i, p in enumerate(pivots)]
+
+
+def _canonical_kernel(m: list[list[_Pair]], pivots: list[int], delta: _Pair, ncols: int,
+                      d: int) -> tuple[list[KVector], list[int]]:
+    """The reduced echelon basis of the right kernel of the first `ncols` columns
+    of an `_eliminate` result whose pivots all lie in them, and its pivot columns.
+    Free column f gives the kernel row delta at f and -m[i][f] at pivot c_i; one
+    more elimination of these integer rows reduces them."""
+    raw = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [(0, 0)] * ncols
+        v[f] = delta
+        for i, p in enumerate(pivots):
+            v[p] = (-m[i][f][0], -m[i][f][1])
+        raw.append(v)
+    k, kernel_pivots, k_delta = _eliminate(raw, d)
+    return _reduced_rows(k, kernel_pivots, k_delta, d), kernel_pivots
+
+
 class KVector:
     """Immutable dense vector with entries in one quadratic field."""
 
@@ -409,9 +435,9 @@ class KMatrix:
     Rank, echelon form, kernel and solving all read one fraction-free
     elimination of the rows over Z[sqrt D] (`_eliminate`); the reduced echelon
     form (leftmost pivots, pivots = 1) is the canonical form used throughout
-    the package.  Code that needs more than these answers (vertex points,
-    chart coordinates) calls `_eliminate` itself and converts the pairs it
-    reads with `_over`.
+    the package.  The package itself does not use this class: presentations,
+    vertex points and chart coordinates call `_eliminate` themselves and convert
+    the pairs they read with `_over`.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "d")
@@ -442,17 +468,11 @@ class KMatrix:
     def from_vectors(cls, vecs: Sequence[KVector]) -> "KMatrix":
         return cls([v.entries for v in vecs])
 
-    def row(self, i: int) -> KVector:
-        return KVector(self.rows[i], self.d)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KMatrix):
             return NotImplemented
         return (self.d == other.d and self.ncols == other.ncols
                 and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.ncols, self.rows))
 
     def __repr__(self) -> str:
         body = "; ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.rows)
@@ -460,39 +480,18 @@ class KMatrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _rref(self) -> tuple[list[list[FieldElem]], list[int]]:
-        """Pivot rows of the reduced row echelon form, and their pivot columns."""
-        d = self.d
-        m, pivots, delta = _eliminate(_integer_rows(self.rows), d)
-        zero, one = _make(0, 0, 1, d), _make(1, 0, 1, d)
-        stale = set(pivots)   # other rows' pivot columns hold no current entry
-        return [[one if j == p else zero if j in stale else _over(x, delta, d)
-                 for j, x in enumerate(m[i])] for i, p in enumerate(pivots)], pivots
-
     def rref(self) -> "KMatrix":
-        return KMatrix(self._rref()[0], ncols=self.ncols, d=self.d)
+        m, pivots, delta = _eliminate(_integer_rows(self.rows), self.d)
+        return KMatrix([v.entries for v in _reduced_rows(m, pivots, delta, self.d)],
+                       ncols=self.ncols, d=self.d)
 
     def rank(self) -> int:
         return len(_eliminate(_integer_rows(self.rows), self.d)[1])
 
     def kernel_basis(self) -> list[KVector]:
         """Canonical basis of the right kernel, in reduced echelon form."""
-        return self._kernel(*self._rref())
-
-    def _kernel(self, m: list[list[FieldElem]], pivots: list[int]) -> list[KVector]:
-        """Canonical kernel basis read off an rref of this matrix, or of this
-        matrix augmented on the right with a column holding no pivot."""
-        free = [c for c in range(self.ncols) if c not in pivots]
-        zero, one = _make(0, 0, 1, self.d), _make(1, 0, 1, self.d)
-        raw = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for i, p in enumerate(pivots):
-                v[p] = -m[i][f]
-            raw.append(v)
-        canon = KMatrix(raw, ncols=self.ncols, d=self.d).rref()
-        return [canon.row(i) for i in range(canon.nrows)]
+        m, pivots, delta = _eliminate(_integer_rows(self.rows), self.d)
+        return _canonical_kernel(m, pivots, delta, self.ncols, self.d)[0]
 
     def solve(self, b: KVector) -> Optional[tuple[KVector, list[KVector]]]:
         """Solve A x = b; returns (particular solution, kernel basis) or None.
@@ -503,12 +502,13 @@ class KMatrix:
         """
         if len(b) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        aug = KMatrix([list(r) + [b[i]] for i, r in enumerate(self.rows)],
-                      ncols=self.ncols + 1, d=self.d)
-        m, pivots = aug._rref()
-        if self.ncols in pivots:
+        if b.d != self.d:
+            raise FieldMixError("matrix entries from different fields")
+        d, nc = self.d, self.ncols
+        m, pivots, delta = _eliminate(_integer_rows(r + (x,) for r, x in zip(self.rows, b)), d)
+        if nc in pivots:
             return None
-        x = [_make(0, 0, 1, self.d)] * self.ncols
+        x = [_make(0, 0, 1, d)] * nc
         for i, p in enumerate(pivots):
-            x[p] = m[i][self.ncols]
-        return KVector(x, self.d), self._kernel(m, pivots)
+            x[p] = _over(m[i][nc], delta, d)
+        return KVector(x, d), _canonical_kernel(m, pivots, delta, nc, d)[0]

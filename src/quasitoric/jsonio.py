@@ -11,6 +11,7 @@ as `bool`, an `int` subclass, and are refused.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, NoReturn, Optional, Sequence
@@ -115,6 +116,10 @@ def decode_fe(obj: Any, d: int, path: str) -> FieldElem:
         raw = obj.get(key, "0")
         if not isinstance(raw, str):
             raise ParseError(f"{path}.{key}", "rationals are strings like '3/2'")
+        # encode_fe's forms; Fraction alone would also take '1e1000000', slowly
+        if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", raw):
+            raise ParseError(f"{path}.{key}",
+                             f"bad rational {raw!r}: expected digits p or p/q, like '-3/2'")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

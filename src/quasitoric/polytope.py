@@ -3,7 +3,7 @@
 A polytope is a finite intersection of half-spaces { mu : <mu, X_j> >= lambda_j }
 with inward-pointing normals X_j and levels lambda_j in a fixed quadratic
 field Q(sqrt D).  Every decision is exact, in Z[sqrt D] integers (`field._integer_rows`,
-then the fraction-free `field._eliminate` that `KMatrix` and the vertex charts also use);
+then the fraction-free `field._eliminate` that presentations and vertex charts also use);
 only the vertex points become field elements, by `field._over`.  One scan over the
 homogenized cone { (mu, t) : <mu, X_j> >= lambda_j t, t >= 0 } gives the vertices, its
 extreme rays with t > 0, and boundedness: no extreme ray with t = 0 (Avis-Fukuda 1992;

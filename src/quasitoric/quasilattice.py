@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .field import KMatrix, KVector
+from .field import FieldMixError, KVector, _eliminate, _integer_rows
 from .intlattice import (AbelianGroupInvariants, IntMatrix, IntVector,
                          int_solve, integer_kernel, snf)
 
@@ -24,12 +24,14 @@ class Quasilattice:
     generators: tuple[KVector, ...]
 
     def __post_init__(self) -> None:
-        if len(self.generators) < self.dim:
+        if len(self.generators) < max(self.dim, 1):
             raise ValueError("need at least dim generators")
         for g in self.generators:
             if len(g) != self.dim:
                 raise ValueError("generator dimension mismatch")
-        if KMatrix.from_vectors(list(self.generators)).rank() != self.dim:
+            if g.d != self.field_d:
+                raise FieldMixError("generators from different fields")
+        if len(_eliminate(_integer_rows(self.generators), self.field_d)[1]) != self.dim:
             raise ValueError("generators do not span R^dim")
 
     @property
@@ -116,17 +118,28 @@ def is_discrete(q: Quasilattice) -> bool:
 
 def quotient_by(q: Quasilattice, certificates: Sequence[Sequence[int]],
                 ) -> AbelianGroupInvariants:
-    """Invariants of the group Q / Z-span{certified vectors}.
+    """Invariants of the group Q / Z-span{certified vectors}; see `quotient_and_spanned`."""
+    return quotient_and_spanned(q, certificates)[0]
 
-    Each certificate is an integer coefficient vector over the generators of
-    Q; the quotient is computed as Z^m / (relations + certificate rows).
+
+def quotient_and_spanned(q: Quasilattice, certificates: Sequence[Sequence[int]],
+                         ) -> tuple[AbelianGroupInvariants, tuple[bool, ...]]:
+    """Invariants of the group Q / Z-span{certified vectors}, and for each
+    generator of Q whether it lies in that span (its class is zero).
+
+    Each certificate is an integer coefficient vector over the generators of Q;
+    the quotient is Z^m / (relations + certificate rows), read off one Smith form
+    U A V = S of those rows A.  Generator i lies in the span exactly when e_i is
+    in the row span of A: when row i of V is divisible entry-wise by S's
+    diagonal, and 0 where S has no nonzero entry.
     """
     rows = [list(r) for r in relation_lattice(q)] + [list(c) for c in certificates]
-    for r in rows:
-        if len(r) != q.m:
-            raise ValueError("certificate length does not match generator count")
+    if any(len(r) != q.m for r in rows):
+        raise ValueError("certificate length does not match generator count")
     if not rows:
-        return AbelianGroupInvariants(q.m, ())
-    factors = snf(rows, ncols=q.m).invariant_factors()
-    torsion = tuple(f for f in factors if f >= 2)
-    return AbelianGroupInvariants(q.m - len(factors), torsion)
+        return AbelianGroupInvariants(q.m, ()), (False,) * q.m
+    dec = snf(rows, ncols=q.m)
+    factors = dec.invariant_factors()   # S's nonzero diagonal, leading and mostly 1
+    rank, torsion = len(factors), [(j, f) for j, f in enumerate(factors) if f > 1]
+    spanned = tuple(not any(v[rank:]) and all(v[j] % f == 0 for j, f in torsion) for v in dec.v)
+    return AbelianGroupInvariants(q.m - rank, tuple(f for _, f in torsion)), spanned

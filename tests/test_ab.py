@@ -1,7 +1,9 @@
 """`tools/ab.py` keeps, per workload and side, whether every run passed, and judges
-each end-to-end metric by the rule of its `better` and `bound`."""
+each end-to-end metric by the rule of its `better` and `bound`, and runs the
+change from an export of the working tree."""
 import importlib.util
 import os
+import subprocess
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "ab.py")
 
@@ -65,3 +67,24 @@ def test_a_wide_parent_spread_is_unresolved_unless_the_sides_separate():
 def test_the_metrics_are_read_from_the_benchmark_declaration():
     metrics = _load()._end_to_end()
     assert metrics["peak_rss_mb"] == ("lower", 0.1) and metrics["ops_per_s"][0] == "higher"
+
+
+def test_the_change_side_is_an_export_of_the_working_tree(tmp_path):
+    # tracked files as edited on disk, untracked ones unless ignored; no bytecode
+    ab, repo, dest = _load(), tmp_path / "repo", tmp_path / "export"
+    (repo / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "src" / "pkg" / "gone.py").write_text("Y = 1\n")
+    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid"]
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], cwd=repo, check=True)
+    (repo / "src" / "pkg" / "mod.py").write_text("X = 2\n")             # uncommitted edit
+    (repo / "src" / "pkg" / "new.py").write_text("Z = 3\n")             # untracked
+    (repo / "src" / "pkg" / "gone.py").unlink()                         # deleted, unstaged
+    (repo / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    ab._export_worktree(str(dest), root=str(repo))
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/pkg/mod.py", "src/pkg/new.py"]
+    assert (dest / "src" / "pkg" / "mod.py").read_text() == "X = 2\n"

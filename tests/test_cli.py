@@ -9,11 +9,11 @@ import tracemalloc
 
 import pytest
 
-from quasitoric import jsonio, polytope, tilings
+from quasitoric import construction, field, jsonio, polytope, quasilattice, tilings
 from quasitoric.cli import MAX_STAR_ARROWS, build_parser, main
 from quasitoric.construction import Triple, build_presentation
 from quasitoric.examples import EXAMPLES, get_example
-from quasitoric.field import KMatrix, KVector, fe
+from quasitoric.field import KVector, fe
 from quasitoric.polytope import HalfSpace, PolytopeH
 from quasitoric.quasilattice import Quasilattice
 from quasitoric.tilings import deflate, seed
@@ -550,7 +550,9 @@ def test_vertex_budget_refuses_before_any_solve(tmp_path, capsys, monkeypatch):
     doc.write_text(jsonio.dumps_canonical(jsonio.encode_triple(_many_facet_triple(70))))
     calls = []
     for owner, name in ((polytope, "_kernel_line"),   # per subset in `vertices` and `is_bounded`
-                        (KMatrix, "solve"), (KMatrix, "kernel_basis")):
+                        # a presentation's two eliminations and its Smith form
+                        (construction, "_eliminate"), (field, "_eliminate"),
+                        (quasilattice, "snf")):
         method = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, m=method, **k: calls.append(a) or m(*a, **k))
     for command in ("validate", "present", "classify", "report"):
@@ -560,6 +562,8 @@ def test_vertex_budget_refuses_before_any_solve(tmp_path, capsys, monkeypatch):
         assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 57155,
                                    "budget": polytope.MAX_VERTEX_CANDIDATES}
     assert calls == []
+    # the spies do see a presentation that is not refused
+    assert run(capsys, "present", "--example", "cube")[0] == 0 and calls
 
 
 def test_vertex_budget_boundary(capsys, monkeypatch):

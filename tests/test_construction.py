@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasitoric import construction, jsonio
+from quasitoric import construction, field, jsonio, quasilattice
 from quasitoric.cli import main
 from quasitoric.construction import (NonsimpleTripleError,
                                      Triple, build_charts, build_presentation,
@@ -13,9 +13,9 @@ from quasitoric.examples import (cube, dodecahedron, get_example, kite,
                                  kite_axis_cut, octahedron, orbisphere,
                                  quasisphere, sphere, tetrahedron)
 from quasitoric.field import FieldElem, KMatrix, KVector, fe, phi
-from quasitoric.intlattice import hnf_basis, int_solve
+from quasitoric.intlattice import AbelianGroupInvariants, hnf_basis, int_solve, snf
 from quasitoric.polytope import HalfSpace, PolytopeH
-from quasitoric.quasilattice import Quasilattice, split_target, z_rank
+from quasitoric.quasilattice import Quasilattice, relation_lattice, split_target, z_rank
 
 from fieldmatrix import inverse, matvec, torus_classes_equal
 from halves import SIMPLE_EXAMPLES, seeded_halves
@@ -183,6 +183,63 @@ def test_build_charts_eliminates_once_per_vertex(monkeypatch):
         calls.clear()
         charts = build_charts(t)
         assert len(calls) == len(charts) == len(t.polytope.vertices())
+
+
+def test_build_presentation_eliminates_twice_and_makes_one_smith_form(monkeypatch):
+    # one elimination of [pi | generators], one of the raw kernel rows, and one
+    # Smith form of [relations; certificates]; no integer solve
+    triples, calls = _simple_triples_and_halves(6262), []
+    eliminate, smith = field._eliminate, quasilattice.snf
+    spy = lambda rows, d: calls.append("eliminate") or eliminate(rows, d)
+    monkeypatch.setattr(construction, "_eliminate", spy)
+    monkeypatch.setattr(field, "_eliminate", spy)
+    monkeypatch.setattr(quasilattice, "snf", lambda *a, **k: calls.append("snf") or smith(*a, **k))
+    monkeypatch.setattr(quasilattice, "int_solve", lambda *a, **k: calls.append("int_solve"))
+    for t in triples:
+        relation_lattice(t.lattice)   # once per quasilattice, kept on it
+        calls.clear()
+        build_presentation(t)
+        assert sorted(calls) == ["eliminate", "eliminate", "snf"]
+
+
+def test_presentations_against_the_per_generator_route():
+    # the route build_presentation took before: the canonical kernel of pi, a
+    # generator left out when the integer system of all the normals has a
+    # solution, KMatrix.solve's particular solution for each other one, reduced
+    # modulo the kernel (at its pivots) and 1, and a Smith form for the group
+    seen_in_span = seen_outside = 0
+    for t in _simple_triples_and_halves(9191):
+        d, n = t.polytope.d, t.polytope.dim
+        pi = KMatrix(zip(*t.normals))
+        kernel = pi.kernel_basis()
+        pivots = [next(i for i, x in enumerate(row) if not x.is_zero()) for row in kernel]
+        assert all(row[p] == 1 for row, p in zip(kernel, pivots))
+        expected = []
+        for gen in t.lattice.generators:
+            cert = int_solve(*split_target(gen, t.normals, n), ncols=d)
+            if cert is not None:
+                assert sum((v.scale(c) for c, v in zip(cert, t.normals)), gen.scale(0)) == gen
+                seen_in_span += 1
+                continue
+            x, x_kernel = pi.solve(gen)
+            assert x_kernel == kernel
+            for g, p in zip(kernel, pivots):
+                x = x - g.scale(x[p])
+            expected.append(KVector([c.mod1() for c in x], d=gen.d))
+            seen_outside += 1
+        rows = [list(r) for r in relation_lattice(t.lattice)] + [list(c) for c in t.certificates]
+        factors = snf(rows, ncols=t.lattice.m).invariant_factors()
+        group = AbelianGroupInvariants(t.lattice.m - len(factors),
+                                       tuple(f for f in factors if f > 1))
+        pres = build_presentation(t)
+        assert (pres.d, pres.n) == (d, n)
+        assert list(pres.cont_gens) == kernel
+        assert [r.coefficients for r in pres.level_rows] == kernel
+        assert [r.constant for r in pres.level_rows] == [
+            -sum((c * lam for c, lam in zip(row, t.levels)), fe(0, 0, row.d)) for row in kernel]
+        assert list(pres.disc_gens) == expected
+        assert pres.component_invariants == group
+    assert seen_in_span > 50 and seen_outside > 50
 
 
 def test_presentations_and_charts_make_no_fraction(monkeypatch):

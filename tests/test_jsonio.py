@@ -93,6 +93,33 @@ def test_encode_fe_writes_what_fraction_writes():
             assert jsonio.encode_fe(x) == expected
 
 
+@pytest.mark.parametrize("raw", ["1e1000000", "-1e20000", "1.5", "-.5", "3/2e1", " 3", "3 ",
+                                 "1_000", "1//2", "٣", "0x10", "inf", ""])
+def test_rationals_are_digit_strings_only(raw):
+    # Fraction reads most of these; the cost of '1e1000000' grows with its exponent
+    with pytest.raises(jsonio.ParseError) as exc:
+        jsonio.decode_fe({"a": "1", "b": raw}, 5, "$.x")
+    assert exc.value.path == "$.x.b"
+    assert str(exc.value) == f"$.x.b: bad rational {raw!r}: expected digits p or p/q, like '-3/2'"
+
+
+def test_signed_digit_rationals_parse():
+    for raw, value in (("0", 0), ("-7", -7), ("+7", 7), ("-3/2", Fraction(-3, 2)),
+                       ("007/0014", Fraction(1, 2)), ("9" * 400, int("9" * 400))):
+        assert jsonio.decode_fe({"a": raw}, 0, "$") == FieldElem(value)
+
+
+def test_an_exponent_level_is_refused_at_its_path_before_any_construction(tmp_path, capsys):
+    doc = jsonio.encode_triple(get_example("sphere"))
+    doc["polytope"]["halfspaces"][0]["lambda"] = {"a": "-1e20000"}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", "parse error: $.polytope.halfspaces[0].lambda.a: bad "
+                                       "rational '-1e20000': expected digits p or p/q, like "
+                                       "'-3/2'\n")
+
+
 def test_encoding_presentations_and_charts_makes_no_fraction(monkeypatch):
     built = []
     for name in EXAMPLES:

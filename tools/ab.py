@@ -4,7 +4,11 @@
 
 Run from the repository root with the change uncommitted: the parent is HEAD,
 exported with `git archive` into a temporary directory, which leaves the
-repository's git metadata alone.  For each seed, `perfbench/run.py --workload W
+repository's git metadata alone, and the change is the working tree, exported
+next to it: its tracked files and its untracked files that are not ignored, as
+they are on disk.  So neither side reads bytecode or build output left by
+earlier runs, which would spare it the compiling the other side pays for in
+`setup_s`.  For each seed, `perfbench/run.py --workload W
 --seed N --seconds 30 --trace 0` runs once in each checkout, the parent first on
 even-indexed pairs and the change first on odd ones, so drift of the host
 falls on both sides alike.  The output keeps every run, whether every run of
@@ -44,8 +48,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 30   # perfbench's run length, the same on both sides
 
 
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+def _git(*args: str, root: str = ROOT) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True).stdout
+
+
+def _export_worktree(dest: str, root: str = ROOT) -> None:
+    """Copy root's tracked files and its untracked files that are not ignored,
+    as they are on disk, into dest; a tracked file deleted on disk is left out."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root)
+    for name in sorted(set(filter(None, names.decode().split("\0")))):
+        source = os.path.join(root, name)
+        if not os.path.lexists(source):
+            continue
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
 
 
 def _seeds(text: str) -> list[int]:
@@ -147,14 +164,17 @@ def main() -> int:
         parent=parent, python=platform.python_version(),
         what=(f"A/B of the parent commit against this change: python3 perfbench/run.py "
               f"--workload W --seed N --seconds {SECONDS} --trace 0, each side from "
-              f"its own checkout, pairs run alternately (parent first on even-indexed "
-              f"pairs, change first on odd); written by tools/ab.py"))
+              f"its own export (the parent's by git archive, the change's of the "
+              f"working tree's tracked and unignored files), pairs run alternately "
+              f"(parent first on even-indexed pairs, change first on odd); written by "
+              f"tools/ab.py"))
 
-    tmp = tempfile.mkdtemp(prefix="ab-parent-")
+    tmp = tempfile.mkdtemp(prefix="ab-")
     try:
+        sides = {side: os.path.join(tmp, side) for side in ("parent", "change")}
         with tarfile.open(fileobj=io.BytesIO(_git("archive", parent))) as tar:
-            tar.extractall(tmp)
-        sides = {"parent": tmp, "change": ROOT}
+            tar.extractall(sides["parent"])
+        _export_worktree(sides["change"])
         doc["src_lines"] = {side: _src_lines(path) for side, path in sides.items()}
         metrics = _end_to_end()
         for workload in args.workload:
