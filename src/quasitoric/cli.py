@@ -13,8 +13,8 @@ Commands
 Exit codes: 0 success, 2 mathematically meaningful refusal (nonsimple
 polytope, degenerate cut) or work over a budget (tile leaves, vertex
 candidates), 1 anything else (usage errors included).
-Refusals are structured JSON on stderr.  QTK_PRECISION sets SVG float digits
-(default 12).  The cyclic garbage collector is paused while a command runs.
+Refusals are structured JSON on stderr.  QTK_PRECISION sets SVG float digits (an
+integer 1..17, default 12).  The cyclic garbage collector is paused while a command runs.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import gc
 import json
 import os
 import sys
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import construction, examples, jsonio, tilings
 from .construction import (DegenerateTripleError, NonsimpleTripleError,
@@ -42,7 +42,7 @@ def _svg_digits() -> int:
     try:
         return max(1, min(int(raw), 17))
     except ValueError:
-        return 12
+        raise ValueError(f"QTK_PRECISION must be an integer (1 to 17), got {raw!r}") from None
 
 
 def _load_triple(args: argparse.Namespace) -> construction.Triple:
@@ -52,12 +52,17 @@ def _load_triple(args: argparse.Namespace) -> construction.Triple:
         return jsonio.parse_triple(json.load(fh))
 
 
-def _write(text: str, path: Optional[str]) -> None:
+def _send(path: Optional[str], emit: Callable[[Callable[[str], Any]], None]) -> None:
+    """Call `emit` with the `write` of a new file at `path`, or of stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(fh.write)
     else:
-        sys.stdout.write(text)
+        emit(sys.stdout.write)
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    _send(path, lambda write: write(text))
 
 
 def _refuse(kind: str, detail: dict) -> int:
@@ -120,6 +125,14 @@ def cmd_cut(args: argparse.Namespace) -> int:
     else:
         if not args.normal or args.level is None:
             raise ValueError("cut needs --normal and --level (or --axis-of)")
+        # the halves hold the triple's rationals and the cut's: one digit budget for all
+        fes = [x for v in triple.lattice.generators for x in v]
+        fes += [x for h in triple.polytope.halfspaces for x in (*h.normal, h.level)]
+        written = "".join(r for x in fes for r in jsonio.encode_fe(x).values())
+        digits = sum(map(str.isdigit, written + args.normal + args.level))
+        if digits > jsonio.MAX_TRIPLE_DIGITS:
+            raise ValueError(f"--normal, --level and the triple: {digits} digits, over "
+                             f"{jsonio.MAX_TRIPLE_DIGITS}")
         d = triple.lattice.field_d
         parts = [p.strip() for p in args.normal.split(",")]
         if len(parts) != triple.polytope.dim:
@@ -145,11 +158,7 @@ def cmd_tile(args: argparse.Namespace) -> int:
     patch = tilings.seed(args.type, args.seed)
     if args.doubled:
         patch = tilings.mirror_double(patch)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            jsonio.write_patch(patch, fh.write, args.steps)
-    else:
-        jsonio.write_patch(patch, sys.stdout.write, args.steps)
+    _send(args.output, lambda write: jsonio.write_patch(patch, write, args.steps))
     return 0
 
 
@@ -166,12 +175,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_hook=hook)
-    patch = jsonio.parse_patch(doc)
-    if args.paired:
-        _write(tilings.render_svg(tilings.pair_tiles(patch).tiles, digits, patch.depth),
-               args.output)
-    else:
-        _write(tilings.render_svg(patch, digits), args.output)
+    patch = jsonio.parse_patch(doc)   # the output is opened only for a document it accepts
+    source = tilings.pair_tiles(patch).tiles if args.paired else patch
+    _send(args.output, lambda write: tilings.write_svg(source, write, digits, patch.depth))
     return 0
 
 

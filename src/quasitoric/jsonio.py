@@ -25,6 +25,7 @@ from . import tilings
 
 SCHEMA_VERSION = 1
 MAX_FIELD_D = 10 ** 9   # largest accepted $.field.D (square-freeness is trial division)
+MAX_TRIPLE_DIGITS = 2000   # digits in a triple's rationals: outputs stay in Python's int limit
 
 
 class ParseError(ValueError):
@@ -109,7 +110,7 @@ def _ratio(n: int, r: int) -> str:
     return str(n // g) if g == r else f"{n // g}/{r // g}"
 
 
-def decode_fe(obj: Any, d: int, path: str) -> FieldElem:
+def decode_fe(obj: Any, d: int, path: str, budget: Optional[list] = None) -> FieldElem:
     if not isinstance(obj, dict) or "a" not in obj:
         raise ParseError(path, "expected an object with an 'a' rational string")
     def rat(key: str) -> Fraction:
@@ -120,6 +121,10 @@ def decode_fe(obj: Any, d: int, path: str) -> FieldElem:
         if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", raw):
             raise ParseError(f"{path}.{key}",
                              f"bad rational {raw!r}: expected digits p or p/q, like '-3/2'")
+        if budget:   # one count of the digits left to a triple's rationals
+            budget[0] -= sum(map(str.isdigit, raw))
+            if budget[0] < 0:
+                raise ParseError(f"{path}.{key}", f"over {MAX_TRIPLE_DIGITS} digits in a triple")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -138,10 +143,10 @@ def encode_kvector(v: KVector) -> list:
     return [encode_fe(x) for x in v]
 
 
-def decode_kvector(obj: Any, d: int, dim: int, path: str) -> KVector:
+def decode_kvector(obj: Any, d: int, dim: int, path: str, budget: Optional[list] = None) -> KVector:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(path, f"expected a list of {dim} field elements")
-    return KVector([decode_fe(x, d, f"{path}[{i}]") for i, x in enumerate(obj)], d=d)
+    return KVector([decode_fe(x, d, f"{path}[{i}]", budget) for i, x in enumerate(obj)], d=d)
 
 
 def _field_context(doc: Any, path: str) -> int:
@@ -164,7 +169,7 @@ def encode_quasilattice(q: Quasilattice) -> dict:
     return {"dim": q.dim, "generators": [encode_kvector(g) for g in q.generators]}
 
 
-def decode_quasilattice(obj: Any, d: int, path: str) -> Quasilattice:
+def decode_quasilattice(obj: Any, d: int, path: str, budget: Optional[list] = None) -> Quasilattice:
     if not isinstance(obj, dict):
         raise ParseError(path, "expected a quasilattice object")
     dim = obj.get("dim")
@@ -173,7 +178,7 @@ def decode_quasilattice(obj: Any, d: int, path: str) -> Quasilattice:
         raise ParseError(f"{path}.dim", "expected a positive integer")
     if not isinstance(gens, list) or not gens:
         raise ParseError(f"{path}.generators", "expected a non-empty list")
-    vectors = tuple(decode_kvector(g, d, dim, f"{path}.generators[{i}]")
+    vectors = tuple(decode_kvector(g, d, dim, f"{path}.generators[{i}]", budget)
                     for i, g in enumerate(gens))
     try:
         return Quasilattice(dim, vectors)
@@ -205,7 +210,8 @@ def parse_triple(doc: Any) -> construction.Triple:
     if not isinstance(doc, dict):
         raise ParseError("$", "expected a JSON object")
     d = _field_context(doc, "$")
-    lattice = decode_quasilattice(doc.get("quasilattice"), d, "$.quasilattice")
+    budget = [MAX_TRIPLE_DIGITS]
+    lattice = decode_quasilattice(doc.get("quasilattice"), d, "$.quasilattice", budget)
     poly = doc.get("polytope")
     if not isinstance(poly, dict):
         raise ParseError("$.polytope", "expected a polytope object")
@@ -223,8 +229,8 @@ def parse_triple(doc: Any) -> construction.Triple:
         path = f"$.polytope.halfspaces[{j}]"
         if not isinstance(h, dict) or "normal" not in h or "lambda" not in h:
             raise ParseError(path, "expected keys 'normal' and 'lambda'")
-        normal = decode_kvector(h["normal"], d, dim, f"{path}.normal")
-        level = decode_fe(h["lambda"], d, f"{path}.lambda")
+        normal = decode_kvector(h["normal"], d, dim, f"{path}.normal", budget)
+        level = decode_fe(h["lambda"], d, f"{path}.lambda", budget)
         halfspaces.append(HalfSpace(normal, level))
         cert = h.get("certificate")
         if cert is not None:
@@ -382,9 +388,9 @@ def _node_fault(obj: Any) -> Optional[tuple[str, str]]:
 def patch_hook() -> Callable[[dict], Any]:
     """A `json.load` object_hook for one patch document.
 
-    A node object whose children all decoded becomes a `tilings.Node`, its
-    points shared through a table of this document only; any other object
-    stays a dict for `parse_patch` to diagnose.
+    A node object whose children all decoded becomes a `tilings.Node`, its points shared
+    through a table of this document only and its kind a literal, not the decoded string;
+    any other object stays a dict for `parse_patch` to diagnose.
     """
     points: dict[tuple[int, ...], tilings.Cyclo] = {}
     Node, HalfTile, enter = tilings.Node, tilings.HalfTile, tilings.enter_point
@@ -397,9 +403,10 @@ def patch_hook() -> Callable[[dict], Any]:
             if type(c) is not Node:
                 return obj
         a, b1, b2 = map(tuple, obj["vertices"])
-        tile = HalfTile(obj["kind"], (points.get(a) or enter(points, a),
-                                      points.get(b1) or enter(points, b1),
-                                      points.get(b2) or enter(points, b2)))
+        kind = "acute" if obj["kind"] == "acute" else "obtuse"
+        tile = HalfTile(kind, (points.get(a) or enter(points, a),
+                               points.get(b1) or enter(points, b1),
+                               points.get(b2) or enter(points, b2)))
         return Node(tile, tuple(kids))
 
     return hook

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Any, Callable, Literal, Optional, Sequence
 
 from .field import FieldElem, _make
 
@@ -589,6 +589,7 @@ def tile_triple(kind: str):
 _FILL = {"acute": "#e8b84b", "obtuse": "#4b7de8",
          "kite": "#e8b84b", "dart": "#4b7de8",
          "thick": "#e8b84b", "thin": "#4b7de8"}
+_SVG_CHUNK = 64   # polygons gathered before one call of `write`, about 10 kB
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -596,54 +597,60 @@ def _fmt(x: float, digits: int) -> str:
     return "0" if s in ("-0", "") else s
 
 
-def _svg_document(body: list[str], points: list[complex], digits: int) -> str:
-    if points:
-        xs = [p.real for p in points]
-        ys = [p.imag for p in points]
-        pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-        vb = (min(xs) - pad, min(ys) - pad,
-              max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad)
-    else:
-        vb = (0.0, 0.0, 1.0, 1.0)
-    head = ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="'
+def _svg_head(x0: float, y0: float, x1: float, y1: float, digits: int) -> str:
+    """The opening tag, its viewBox the bounds (x0, y0)-(x1, y1) padded by 5% of their
+    longer side (at least 1), or the unit square for empty bounds (x0 > x1)."""
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1.0)
+    vb = (x0 - pad, y0 - pad, x1 - x0 + 2 * pad, y1 - y0 + 2 * pad) if x0 <= x1 else (0, 0, 1, 1)
+    return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="'
             + " ".join(_fmt(v, digits) for v in vb) + '">')
-    return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
 def render_svg(source: "Patch | Sequence[WholeTile]", digits: int = 12,
                depth: int = 0) -> str:
-    """Deterministic SVG for a patch's leaves or a list of paired tiles.
+    """`write_svg`'s text, whole."""
+    parts: list[str] = []
+    write_svg(source, parts.append, digits, depth)
+    return "".join(parts)
 
-    Ring-to-float conversion happens only here; stored coordinates at depth k
-    are divided by phi^k.  Paired tiles carry no depth of their own, so it is
-    passed as `depth` (the depth of the patch they were paired from).
-    """
+
+def write_svg(source: "Patch | Sequence[WholeTile]", write: Callable[[str], Any],
+              digits: int = 12, depth: int = 0) -> None:
+    """Send a deterministic SVG of a patch's leaves or a list of paired tiles to `write`,
+    `_SVG_CHUNK` polygons a piece.  Ring-to-float conversion happens only here: stored
+    coordinates at depth k are divided by phi^k, and paired tiles take the `depth` of
+    their patch.  A first pass keeps each distinct point's "x,y" and the view's bounds
+    (repeated points cannot move them); the second writes the polygons."""
     if isinstance(source, Patch):
         depth, source = source.depth, source.leaves()
     scale = ((1 + 5 ** 0.5) / 2) ** (-depth)
-    drawn: dict[tuple[int, ...], tuple[str, complex]] = {}   # coefficients -> ("x,y", point)
-    body = []
+    drawn: dict[tuple[int, ...], str] = {}   # coefficients -> "x,y"
+    x0, y0, x1, y1 = cmath.inf, cmath.inf, -cmath.inf, -cmath.inf
     for t in source:
-        texts = []
         for v in t.vertices:
-            hit = drawn.get(v.c)
-            if hit is None:
+            if v.c not in drawn:
                 p = v.to_complex() * scale
-                hit = drawn[v.c] = (f"{_fmt(p.real, digits)},{_fmt(p.imag, digits)}", p)
-            texts.append(hit[0])
-        body.append(f'<polygon points="{" ".join(texts)}" fill="{_FILL[t.kind]}" '
-                    'stroke="#222222" stroke-width="0.01"/>')
-    # repeated vertices cannot move a min or a max, so the distinct ones size the view
-    return _svg_document(body, [p for _, p in drawn.values()], digits)
+                x, y = p.real, p.imag
+                drawn[v.c] = f"{_fmt(x, digits)},{_fmt(y, digits)}"
+                x0, x1 = (x if x < x0 else x0), (x if x > x1 else x1)
+                y0, y1 = (y if y < y0 else y0), (y if y > y1 else y1)
+    parts = [_svg_head(x0, y0, x1, y1, digits)]
+    for t in source:
+        if len(parts) >= _SVG_CHUNK:
+            write("".join(parts))
+            parts.clear()
+        parts.append(f'\n<polygon points="{" ".join([drawn[v.c] for v in t.vertices])}" '
+                     f'fill="{_FILL[t.kind]}" stroke="#222222" stroke-width="0.01"/>')
+    parts.append("\n</svg>\n")
+    write("".join(parts))
 
 
 def render_star(count: int = 5, digits: int = 12) -> str:
     """The roots-of-unity star: `count` arrows from the origin."""
-    body = []
-    points = [0j]
-    for k in range(count):
-        z = cmath.exp(2j * cmath.pi * k / count)
-        points.append(z)
-        body.append(f'<line x1="0" y1="0" x2="{_fmt(z.real, digits)}" '
-                    f'y2="{_fmt(z.imag, digits)}" stroke="#222222" stroke-width="0.02"/>')
-    return _svg_document(body, points, digits)
+    points = [0j] + [cmath.exp(2j * cmath.pi * k / count) for k in range(count)]
+    xs, ys = [p.real for p in points], [p.imag for p in points]
+    body = [f'<line x1="0" y1="0" x2="{_fmt(z.real, digits)}" '
+            f'y2="{_fmt(z.imag, digits)}" stroke="#222222" stroke-width="0.02"/>'
+            for z in points[1:]]
+    return "\n".join([_svg_head(min(xs), min(ys), max(xs), max(ys), digits), *body,
+                      "</svg>"]) + "\n"

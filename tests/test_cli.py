@@ -622,3 +622,74 @@ def test_main_leaves_the_collector_as_it_found_it(argv, code, enabled, tmp_path,
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
+
+
+def _deepen(doc):   # relabel a depth-2 tree as depth 3: every leaf off the patch depth
+    doc["depth"] = 3
+
+
+@pytest.mark.parametrize("fault, err", [
+    (_deepen, "parse error: $.roots[0].children[0].children[0]: leaf at tree depth 2, but "
+              "every leaf must sit at depth 3\n"),
+    (_move_leaf, "parse error: $.roots[0].children[1].children: child 0 is not the p2 "
+                 "substitution of the parent\n"),
+])
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_render_of_a_faulty_document_leaves_an_existing_output_as_it_was(fault, err, flags,
+                                                                          tmp_path, capsys):
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    fault(doc)
+    bad, svg = tmp_path / "bad.json", tmp_path / "out.svg"
+    bad.write_text(json.dumps(doc))
+    svg.write_bytes(b"<svg>an earlier drawing</svg>\n")
+    assert run(capsys, "render", "--input", str(bad), "--output", str(svg), *flags) == (1, "", err)
+    assert svg.read_bytes() == b"<svg>an earlier drawing</svg>\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_render_to_stdout_writes_the_bytes_of_render_to_a_file(flags, tmp_path, capsys):
+    doc, svg = tmp_path / "patch.json", tmp_path / "out.svg"
+    tile = ["tile", "--type", "p3", "--steps", "7", "--doubled", "--output", str(doc)]
+    assert run(capsys, *tile) == (0, "", "")
+    code, stdout, _ = run(capsys, "render", "--input", str(doc), *flags)
+    assert code == 0 and stdout.count("<polygon") > 10 * tilings._SVG_CHUNK   # many pieces
+    assert run(capsys, "render", "--input", str(doc), "--output", str(svg), *flags) == (0, "", "")
+    assert svg.read_bytes() == stdout.encode()
+    patch = jsonio.parse_patch(json.loads(doc.read_text()))
+    source = tilings.pair_tiles(patch).tiles if flags else patch
+    assert stdout == tilings.render_svg(source, 12, patch.depth)
+
+
+@pytest.mark.parametrize("value", ["x", "", "12.5", "1e3"])
+@pytest.mark.parametrize("argv", [["render", "--star"], ["render", "--input", "missing.json"]])
+def test_a_non_integer_precision_is_an_error_before_any_input_or_output(value, argv, tmp_path,
+                                                                        capsys, monkeypatch):
+    monkeypatch.setenv("QTK_PRECISION", value)
+    monkeypatch.chdir(tmp_path)
+    svg = tmp_path / "out.svg"
+    svg.write_bytes(b"kept\n")
+    assert run(capsys, *argv, "--output", str(svg)) == (
+        1, "", f"error: QTK_PRECISION must be an integer (1 to 17), got {value!r}\n")
+    assert svg.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("value, digits", [("0", 1), ("-4", 1), ("40", 17), (" 3 ", 3)])
+def test_an_integer_precision_is_clamped_to_1_through_17(value, digits, capsys, monkeypatch):
+    monkeypatch.setenv("QTK_PRECISION", value)
+    assert run(capsys, "render", "--star", "1") == (0, tilings.render_star(1, digits), "")
+
+
+def test_write_svg_holds_the_point_texts_not_the_drawing():
+    patch = deflate(seed("p2"), 8)   # 2 584 leaves, built before tracing starts
+    sizes = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tilings.write_svg(patch, lambda piece: sizes.append(len(piece)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The "x,y" table of the 1 365 distinct points is about a third of the text; the old
+    # `render_svg` peaked at twice the text (its polygon list and two joined copies).
+    assert len(sizes) > 40 and max(sizes) < 16_000
+    assert peak < sum(sizes) / 2, (peak, sum(sizes))

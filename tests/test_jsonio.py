@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,74 @@ def test_an_exponent_level_is_refused_at_its_path_before_any_construction(tmp_pa
     assert capsys.readouterr() == ("", "parse error: $.polytope.halfspaces[0].lambda.a: bad "
                                        "rational '-1e20000': expected digits p or p/q, like "
                                        "'-3/2'\n")
+
+
+def _rational_digits(doc):
+    """Digits of a triple document's rationals as written: the budget's count."""
+    fes = [x for g in doc["quasilattice"]["generators"] for x in g]
+    for h in doc["polytope"]["halfspaces"]:
+        fes += h["normal"] + [h["lambda"]]
+    return sum(c.isdigit() for x in fes for raw in x.values() for c in raw)
+
+
+def _far_dodecahedron(longer=0):
+    """The dodecahedron with level j moved out by 1/q_j, q_j of 77 or 76 digits: its
+    rationals hold MAX_TRIPLE_DIGITS digits, plus 2 * `longer` in the last level."""
+    doc = jsonio.encode_triple(get_example("dodecahedron"))
+    for j, h in enumerate(doc["polytope"]["halfspaces"]):
+        k = (77 if j < 10 else 76) + (longer if j == 11 else 0)
+        q = 10 ** (k - 1) + 10 ** (k // 2) * j + 1
+        h["lambda"]["a"] = f"-{q + 1}/{q}"
+    return doc
+
+
+@pytest.mark.parametrize("command", ["validate", "present", "report"])
+def test_a_triple_over_the_digit_budget_is_refused_at_the_crossing_rational(command, tmp_path,
+                                                                            capsys):
+    # under Python's 4 300-digit limit one by one, but the level rows combine them
+    doc = jsonio.encode_triple(get_example("sphere"))
+    doc["polytope"]["halfspaces"][0]["lambda"]["a"] = "-1/" + "3" * 3000
+    doc["polytope"]["halfspaces"][1]["lambda"]["a"] = "-1/" + "7" * 2999 + "1"
+    path, out = tmp_path / "triple.json", tmp_path / "out.txt"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", "parse error: $.polytope.halfspaces[0].lambda.a: over "
+                                       f"{jsonio.MAX_TRIPLE_DIGITS} digits in a triple\n")
+    assert not out.exists()
+
+
+def test_a_dodecahedron_at_the_digit_budget_reports_and_one_past_it_is_refused(tmp_path, capsys):
+    edge, over = _far_dodecahedron(), _far_dodecahedron(longer=1)
+    assert _rational_digits(edge) == jsonio.MAX_TRIPLE_DIGITS
+    assert _rational_digits(over) == jsonio.MAX_TRIPLE_DIGITS + 2
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(edge))
+    for fmt in ("text", "json"):
+        assert main(["report", "--input", str(path), "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and max(map(len, re.findall("[0-9]+", out))) > 200
+    path.write_text(json.dumps(over))
+    assert main(["report", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", "parse error: $.polytope.halfspaces[11].lambda.a: over "
+                                       f"{jsonio.MAX_TRIPLE_DIGITS} digits in a triple\n")
+
+
+def test_a_cut_counts_its_triples_digits_and_its_own(tmp_path, capsys):
+    path, out = tmp_path / "triple.json", tmp_path / "halves.json"
+    path.write_text(json.dumps(_far_dodecahedron()))
+    argv = ["cut", "--input", str(path), "--normal", "0,0,1", "--level", "0", "--output", str(out)]
+    assert main(argv) == 1   # at the budget, so the cut's four digits are over it
+    assert capsys.readouterr() == ("", "error: --normal, --level and the triple: "
+                                       f"{jsonio.MAX_TRIPLE_DIGITS + 4} digits, over "
+                                       f"{jsonio.MAX_TRIPLE_DIGITS}\n")
+    assert not out.exists()
+    left = jsonio.MAX_TRIPLE_DIGITS - _rational_digits(jsonio.encode_triple(get_example("cube")))
+    argv = ["cut", "--example", "cube", "--normal", "1,0,0", "--output", str(out), "--level"]
+    assert main(argv + ["1/" + "3" * (left - 4)]) == 0   # 3 digits of normal, 1 + left - 4 of level
+    assert capsys.readouterr() == ("", "") and out.stat().st_size > 2 * left
+    assert main(argv + ["1/" + "3" * (left - 3)]) == 1
+    assert capsys.readouterr()[1].endswith(f": {jsonio.MAX_TRIPLE_DIGITS + 1} digits, over "
+                                           f"{jsonio.MAX_TRIPLE_DIGITS}\n")
 
 
 def test_encoding_presentations_and_charts_makes_no_fraction(monkeypatch):
@@ -315,3 +384,18 @@ def test_both_entry_points_report_a_fault_alike(fault, path, message):
             load()
         errors.append((exc.value.path, str(exc.value)))
     assert errors[0] == errors[1] == (path, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("hooked", [True, False])
+def test_decoded_kinds_are_the_two_literals(hooked):
+    kinds = ("acute", "obtuse")
+    text = json.dumps(jsonio.encode_patch(deflate(mirror_double(seed("p3", "obtuse")), 4)))
+    assert json.loads(text)["roots"][0]["kind"] is not kinds[1]   # json makes a new string
+    doc = json.loads(text, object_hook=jsonio.patch_hook()) if hooked else json.loads(text)
+    stack, seen = list(jsonio.parse_patch(doc).roots), 0
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        assert node.tile.kind is kinds[0] or node.tile.kind is kinds[1]
+        seen += 1
+    assert seen == 2 * (1 + 2 + 5 + 13 + 34)
