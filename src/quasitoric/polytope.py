@@ -4,27 +4,26 @@ A polytope is a finite intersection of half-spaces { mu : <mu, X_j> >= lambda_j 
 with inward-pointing normals X_j and levels lambda_j in a fixed quadratic
 field Q(sqrt D).  Every decision is exact, in Z[sqrt D] integers (`field._integer_rows`,
 then the fraction-free `field._eliminate` that presentations and vertex charts also use);
-only the vertex points become field elements, by `field._over`.  One scan over the
-homogenized cone { (mu, t) : <mu, X_j> >= lambda_j t, t >= 0 } gives the vertices, its
-extreme rays with t > 0, and boundedness: no extreme ray with t = 0 (Avis-Fukuda 1992;
-Fukuda-Prodon 1996).  Affine dimensions are the ranks of the rows (point, 1), minus one.
+only the vertex points become field elements, by `field._over`.  Double description of
+the cone { (mu, t) : <mu, X_j> >= lambda_j t, t >= 0 } (Motzkin-Raiffa-Thompson-Thrall 1953;
+Fukuda-Prodon 1996; rows t first, then the facets by index; at most MAX_RAYS rays held) gives
+the vertices, its extreme rays with t > 0, and boundedness: no ray with t = 0.  Validation
+and trimming compare the vertices' active facet sets (their zero sets) and solve nothing.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
 
-from .field import (FieldElem, FieldMixError, KVector, _eliminate, _integer_rows, _make, _over,
-                    _sign)
+from .field import FieldElem, FieldMixError, KVector, _eliminate, _integer_rows, _over, _sign
 
 
 class DegenerateCutError(ValueError):
     """The cutting hyperplane does not meet the interior of the polytope."""
 
 
-MAX_VERTEX_CANDIDATES = 50_000   # n-subsets of the d + 1 homogenized rows; about 2 s of work
+MAX_RAYS = 5_000   # rays held at once; a row at the cap takes about 1.3 s (see README)
 
 
 def _kernel_line(rows: list, d: int) -> Optional[list]:
@@ -42,17 +41,26 @@ def _kernel_line(rows: list, d: int) -> Optional[list]:
     return y
 
 
-def _dot_sign(row: list[tuple[int, int]], y: list[tuple[int, int]], d: int) -> int:
-    """Exact sign of the dot product of two vectors over Z[sqrt d]."""
+def _dot(row: list[tuple[int, int]], y: list[tuple[int, int]], d: int) -> tuple[int, int]:
+    """The dot product of two vectors over Z[sqrt d], as a pair."""
     sp = sq = 0
     for (a, b), (x, z) in zip(row, y):
         sp += a * x + b * z * d
         sq += a * z + b * x
-    return _sign(sp, sq, d)
+    return sp, sq
+
+
+def _join(c: tuple[int, int], u: list, e: tuple[int, int], v: list, d: int) -> list:
+    """c*u - e*v over Z[sqrt d], with the integer content divided out."""
+    (c0, c1), (e0, e1) = c, e
+    y = [(c0 * x + c1 * z * d - e0 * s - e1 * w * d, c0 * z + c1 * x - e0 * w - e1 * s)
+         for (x, z), (s, w) in zip(u, v)]
+    g = gcd(*(k for pair in y for k in pair))
+    return [(p // g, q // g) for p, q in y]
 
 
 class VertexBudgetError(ValueError):
-    """More than MAX_VERTEX_CANDIDATES row subsets; args: (candidates, budget)."""
+    """More than MAX_RAYS rays held; args: (rays held, budget)."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,6 @@ class PolytopeH:
         self.dim = dim
         self.halfspaces = tuple(halfspaces)
         self._scanned: Optional[tuple[tuple[VertexData, ...], bool]] = None   # vertices, bounded
-        self._irredundant = False   # True when proved by drop_redundant
         self._validation: Optional[ValidationReport] = None
 
     @property
@@ -121,53 +128,47 @@ class PolytopeH:
     # -- the scan: vertices and boundedness ---------------------------------------
 
     def _scan(self) -> tuple[tuple[VertexData, ...], bool]:
-        """(vertices sorted by coordinates, bounded) from the kernel lines (N, t) of the
-        n-subsets of the facet rows (X_j, -lambda_j) and the row (0, ..., 0, 1).
+        """(vertices sorted by coordinates, bounded) by double description of the cone of
+        the rows (X_j, -lambda_j), bit j of a zero set, and (0, ..., 0, 1), bit d.
 
-        t != 0: N/t is a vertex if every slack is >= 0.  With the last row the line
-        is (N, 0), N spanning the kernel of the other n - 1 normals: N or -N is a
-        recession ray unless the normals take both signs on it; others with t = 0
-        repeat such a line.
+        The first rays are the kernel lines of n of the first n + 1 independent rows (t,
+        then the facets by index), each positive on the row left out.  Each further row,
+        by index, keeps the rays it is >= 0 on and joins at its zero each adjacent pair it
+        takes both signs on: two rays whose common zero set has n - 1 rows or more and
+        lies in no third ray's.  A ray (N, t) is the vertex N/t if t > 0, else a recession ray.
         """
         if self._scanned is not None:
             return self._scanned
-        n, d = self.dim, self.field_d
-        candidates = math.comb(self.d + 1, n)   # C(d, n) + C(d, n - 1)
-        if candidates > MAX_VERTEX_CANDIDATES:
-            raise VertexBudgetError(candidates, MAX_VERTEX_CANDIDATES)
-        facets = _integer_rows([*h.normal, -h.level] for h in self.halfspaces)
-        normals = [row[:n] for row in facets]
-        bounded = len(_eliminate(normals, d)[1]) == n   # else the cone holds a line
-        seen: dict[tuple[int, ...], VertexData] = {}
-        for subset in itertools.combinations(range(self.d + 1), n):
-            if subset[-1] == self.d:   # the last row: eliminate the n - 1 normals alone
-                y = _kernel_line([normals[j] for j in subset[:-1]], d) if bounded else None
-                if y is not None:
-                    signs = (s for s in (_dot_sign(x, y, d) for x in normals) if s)
-                    bounded = -next(signs, 0) in signs
-                continue
-            y = _kernel_line([facets[j] for j in subset], d)
-            if y is None or (t := _sign(*y[n], d)) == 0:
-                continue  # rank-deficient subset, or t = 0
-            if t < 0:
-                y = [(-p, -q) for p, q in y]   # delta > 0, so slack signs read directly
-            active = []
-            for j, row in enumerate(facets):
-                s = _dot_sign(row, y, d)
-                if s < 0:
-                    break   # infeasible
-                if s == 0:
-                    active.append(j)
-            else:
-                key = tuple(active)
-                if key in seen:
-                    continue
-                if not set(subset) <= set(key):
-                    raise ArithmeticError(f"subset {subset} not active at its own point")
-                point = KVector([_over(x, y[n], d) for x in y[:n]], d)   # x_i = N_i / t
-                seen[key] = VertexData(point, key)
-        verts = tuple(sorted(seen.values(), key=lambda v: tuple(v.point)))  # exact order
-        self._scanned = verts, bounded
+        n, d, order = self.dim, self.field_d, [self.d, *range(self.d)]
+        rows = _integer_rows([*h.normal, -h.level] for h in self.halfspaces)
+        rows.append([(0, 0)] * n + [(1, 0)])
+        basis = [order[c] for c in _eliminate(list(zip(*(rows[j] for j in order))), d)[1]]
+        pointed, rays = len(basis) > n, {}   # else the normals have rank < n: a line
+        for j in basis if pointed else ():   # rays: zero set (a bitmask of rows) -> ray
+            y = _kernel_line([rows[k] for k in basis if k != j], d)
+            s = _sign(*_dot(rows[j], y, d), d)
+            rays[sum(1 << k for k in basis if k != j)] = _join((s, 0), y, (0, 0), y, d)   # s*y
+        for j in (k for k in order if k not in basis):
+            kept, plus, minus, bit = {}, [], [], 1 << j
+            for z, y in rays.items():
+                dot = _dot(rows[j], y, d)
+                s = _sign(*dot, d)
+                if s >= 0:
+                    kept[z | bit if s == 0 else z] = y
+                (plus if s > 0 else minus if s < 0 else []).append((z, y, dot))
+            for zp, yp, dp in plus:
+                for zm, ym, dm in minus:
+                    z = zp & zm
+                    if z.bit_count() >= n - 1 and not any(z & w == z and w != zp and w != zm
+                                                          for w in rays):
+                        kept[z | bit] = _join(dp, ym, dm, yp, d)   # both weights > 0
+                        if len(kept) > MAX_RAYS:
+                            raise VertexBudgetError(len(kept), MAX_RAYS)
+            rays = kept
+        verts = sorted((VertexData(KVector([_over(x, y[n], d) for x in y[:n]], d),   # N_i / t
+                                   tuple(j for j in range(self.d) if z >> j & 1))
+                        for z, y in rays.items() if y[n] != (0, 0)), key=lambda v: tuple(v.point))
+        self._scanned = tuple(verts), pointed and len(verts) == len(rays)
         return self._scanned
 
     def vertices(self) -> tuple[VertexData, ...]:
@@ -177,17 +178,19 @@ class PolytopeH:
     # -- validation --------------------------------------------------------------
 
     def is_bounded(self) -> bool:
-        """Recession cone == {0}: no recession ray among the scan's kernel lines."""
+        """Recession cone == {0}: no ray with t = 0 among the scan's extreme rays."""
         return self._scan()[1]
 
-    def _affine_dim(self, verts: Sequence[VertexData]) -> int:
-        """Affine dimension of the vertices' points (-1 if none)."""
-        rows = _integer_rows([*v.point, _make(1, 0, 1, self.field_d)] for v in verts)
-        return len(_eliminate(rows, self.field_d)[1]) - 1
-
-    def _facet_contact_dim(self, j: int) -> int:
-        """Affine dimension of the set of vertices lying on facet j (-1 if none)."""
-        return self._affine_dim([v for v in self.vertices() if j in v.active_facets])
+    def _faces(self) -> tuple[bool, list[int]]:
+        """(full_dim, the facets supporting a facet).  Bounded, it is the hull of its vertices:
+        full-dimensional when it has one and no facet holds all (an implicit equality); facet
+        j supports a facet when it holds some, strictly inside no other's (a maximal face)."""
+        (verts, bounded), on = self._scan(), [0] * self.d   # on[j]: facet j's vertices, as bits
+        for i, v in enumerate(verts):
+            for j in v.active_facets:
+                on[j] |= 1 << i
+        full_dim = bounded and bool(verts) and (1 << len(verts)) - 1 not in on
+        return full_dim, [j for j, s in enumerate(on) if s and not any(s & t == s != t for t in on)]
 
     def validate(self) -> ValidationReport:
         if self._validation is None:
@@ -198,9 +201,8 @@ class PolytopeH:
         if not self.is_bounded():
             return ValidationReport(False, False, False, False, 0)
         verts = self.vertices()   # with none, every field but bounded reads False
-        full_dim = self._affine_dim(verts) == self.dim
-        irredundant = self._irredundant or all(self._facet_contact_dim(j) == self.dim - 1
-                                               for j in range(self.d))
+        full_dim, keep = self._faces()
+        irredundant = (full_dim or self.dim == 1) and len(keep) == self.d   # n = 1: a point
         simple = bool(verts) and all(len(v.active_facets) == self.dim for v in verts)
         return ValidationReport(True, full_dim, irredundant, simple, len(verts))
 
@@ -210,19 +212,17 @@ class PolytopeH:
         """Remove half-spaces not supporting a facet; keeps the original order.
 
         Returns the trimmed polytope and the kept original facet indices.  Only a
-        bounded full-dimensional polytope (as a cut half of one is) is trimmed,
-        else ValueError; the trimmed one is the same set, so it inherits this scan
-        (vertices renumbered), irredundant.
+        bounded full-dimensional polytope (as a cut half of one is) is trimmed, else
+        ValueError; the trimmed one is the same set, so it inherits this scan.
         """
-        verts, bounded = self._scan()
-        if not bounded or self._affine_dim(verts) != self.dim:
+        (verts, bounded), (full_dim, keep) = self._scan(), self._faces()
+        if not full_dim:
             raise ValueError("only a bounded full-dimensional polytope can be trimmed")
-        keep = [j for j in range(self.d) if self._facet_contact_dim(j) == self.dim - 1]
         trimmed = PolytopeH(self.dim, [self.halfspaces[j] for j in keep])
         renumber = {j: i for i, j in enumerate(keep)}
-        trimmed._scanned, trimmed._irredundant = (tuple(
+        trimmed._scanned = tuple(
             VertexData(v.point, tuple(renumber[j] for j in v.active_facets if j in renumber))
-            for v in verts), bounded), True
+            for v in verts), bounded
         return trimmed, keep
 
 

@@ -548,44 +548,50 @@ def _many_facet_triple(count):
 def test_vertex_budget_refuses_before_any_solve(tmp_path, capsys, monkeypatch):
     doc = tmp_path / "triple.json"
     doc.write_text(jsonio.dumps_canonical(jsonio.encode_triple(_many_facet_triple(70))))
+    monkeypatch.setattr(polytope, "MAX_RAYS", 10)
     calls = []
-    for owner, name in ((polytope, "_kernel_line"),   # per subset in `vertices` and `is_bounded`
-                        # a presentation's two eliminations and its Smith form
-                        (construction, "_eliminate"), (field, "_eliminate"),
-                        (quasilattice, "snf")):
+    # a presentation's two eliminations and its Smith form
+    for owner, name in ((construction, "_eliminate"), (field, "_eliminate"), (quasilattice, "snf")):
         method = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, m=method, **k: calls.append(a) or m(*a, **k))
     for command in ("validate", "present", "classify", "report"):
         code, out, err = run(capsys, command, "--input", str(doc))
         assert (code, out) == (2, "")
-        # C(70, 3) + C(70, 2) candidate subsets
-        assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 57155,
-                                   "budget": polytope.MAX_VERTEX_CANDIDATES}
+        # refused as soon as the double description holds one ray more than the cap
+        assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 11, "budget": 10}
     assert calls == []
     # the spies do see a presentation that is not refused
     assert run(capsys, "present", "--example", "cube")[0] == 0 and calls
 
 
+def test_a_seventy_facet_triple_is_answered(tmp_path, capsys):
+    doc = tmp_path / "triple.json"
+    doc.write_text(jsonio.dumps_canonical(jsonio.encode_triple(_many_facet_triple(70))))
+    code, out, _ = run(capsys, "validate", "--input", str(doc))
+    report = json.loads(out)
+    assert code == 1 and report["vertex_count"] == 15
+    assert report["bounded"] and report["full_dim"] and not report["irredundant_facets"]
+
+
 def test_vertex_budget_boundary(capsys, monkeypatch):
-    # the icosahedron: C(20, 3) + C(20, 2) = 1330 candidates
-    monkeypatch.setattr(polytope, "MAX_VERTEX_CANDIDATES", 1330)
+    # the icosahedron: at most 18 rays held after any row
+    monkeypatch.setattr(polytope, "MAX_RAYS", 18)
     code, out, _ = run(capsys, "validate", "--example", "icosahedron")
     assert code == 0 and json.loads(out)["vertex_count"] == 12
-    monkeypatch.setattr(polytope, "MAX_VERTEX_CANDIDATES", 1329)
+    monkeypatch.setattr(polytope, "MAX_RAYS", 17)
     code, out, err = run(capsys, "validate", "--example", "icosahedron")
     assert (code, out) == (2, "")
-    assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 1330, "budget": 1329}
+    assert json.loads(err) == {"refusal": "vertex-budget", "candidates": 18, "budget": 17}
 
 
 def test_cut_halves_inherit_their_facet_contact_dimensions(capsys, monkeypatch):
     calls = []
-    contact = PolytopeH._facet_contact_dim
-    monkeypatch.setattr(PolytopeH, "_facet_contact_dim",
-                        lambda p, j: calls.append(j) or contact(p, j))
+    kernel_line = polytope._kernel_line
+    monkeypatch.setattr(polytope, "_kernel_line", lambda *a: calls.append(a) or kernel_line(*a))
     code, out, _ = run(capsys, "cut", "--example", "cube", "--normal", "1,0,0", "--level", "1/2")
     assert code == 0 and json.loads(out)["plus"]["triple"]
-    # 6 for the cube, 7 + 7 for the untrimmed halves; none for the trimmed ones
-    assert len(calls) == 20
+    # n + 1 = 4 first rays for the cube and for each untrimmed half; none for the trimmed ones
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("enabled", [True, False])

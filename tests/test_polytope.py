@@ -113,9 +113,8 @@ def test_empty_polytope_is_refused():
 
 
 def test_facet_contact_dimension():
-    c = unit_cube()
-    for j in range(c.d):
-        assert c._facet_contact_dim(j) == 2
+    trimmed, keep = unit_cube().drop_redundant()
+    assert keep == list(range(6)) and trimmed.validate().irredundant_facets
 
 
 def test_redundant_facet_detected():
@@ -258,7 +257,8 @@ def assert_matches_reference(p):
     for q in (p, fresh):
         assert q.vertices() == expected
         assert q.is_bounded() == bounded
-        assert [q._facet_contact_dim(j) for j in range(q.d)] == contact
+        if bounded and full_dim:   # trimming keeps the facets of contact dimension n - 1
+            assert q.drop_redundant()[1] == [j for j, c in enumerate(contact) if c == p.dim - 1]
         report = q.validate()
         assert report.bounded == bounded
         if bounded:   # an unbounded report stops there, all False
@@ -280,14 +280,13 @@ def test_vertices_match_reference_on_cut_halves():
 
 
 def test_cut_halves_validate_without_trying_a_subset(monkeypatch):
-    calls = []
-    kernel_line = polytope._kernel_line
-    monkeypatch.setattr(polytope, "_kernel_line", lambda *a: calls.append(a) or kernel_line(*a))
     cube = PolytopeH(3, get_example("cube").polytope.halfspaces)
     # cut --example cube --normal 1,0,0 --level 1/2
     plus, _, minus, _ = cut_with_maps(cube, kv(1, 0, 0), fe(Fraction(1, 2)))
-    assert len(calls) == 35 + 56 + 56   # C(7, 3) for the cube, C(8, 3) per untrimmed half
-    calls.clear()
+    calls = []
+    for name in ("_kernel_line", "_eliminate"):
+        method = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name, lambda *a, m=method: calls.append(a) or m(*a))
     reports = [half.validate() for half in (plus, minus)]
     assert calls == []
     for half, report in zip((plus, minus), reports):
@@ -344,6 +343,22 @@ def test_vertices_match_reference_on_random_polyhedra(d):
     assert 0 < bounded < 40 and nonsimple and duplicated and opposite
 
 
+def test_points_segments_and_empty_sets_match_reference():
+    # the point 0 of the line, where irredundancy needs the one-dimensional clause
+    point_1d = PolytopeH(1, [HalfSpace(kv(1), fe(0)), HalfSpace(kv(-1), fe(0))])
+    point_2d = PolytopeH(2, [HalfSpace(kv(*x), fe(0)) for x in ((1, 0), (-1, 0), (0, 1), (0, -1))])
+    segment_3d = PolytopeH(3, [HalfSpace(kv(0, 1, 0), fe(0)), HalfSpace(kv(0, -1, 0), fe(0)),
+                               HalfSpace(kv(0, 0, 1), fe(0)), HalfSpace(kv(0, 0, -1), fe(0)),
+                               HalfSpace(kv(1, 0, 0), fe(0)), HalfSpace(kv(-1, 0, 0), fe(-1))])
+    empty = PolytopeH(1, [HalfSpace(kv(1), fe(1)), HalfSpace(kv(-1), fe(0))])   # bounded
+    for p in (point_1d, point_2d, segment_3d, empty):
+        assert_matches_reference(p)
+    assert point_1d.validate() == ValidationReport(True, False, True, False, 1)
+    assert point_2d.validate() == ValidationReport(True, False, False, False, 1)
+    assert segment_3d.validate() == ValidationReport(True, False, False, False, 2)
+    assert empty.validate() == ValidationReport(True, False, False, False, 0)
+
+
 def test_elimination_divides_exactly_and_reads_the_kernel():
     rng = random.Random(11)
     for d in (0, 2, 5):
@@ -355,7 +370,7 @@ def test_elimination_divides_exactly_and_reads_the_kernel():
                 continue
             assert any(v != (0, 0) for v in y)
             for row in rows:
-                assert polytope._dot_sign(row, y, d) == 0
+                assert polytope._dot(row, y, d) == (0, 0)
     # two proportional rows leave a two-dimensional kernel
     assert polytope._kernel_line([[(1, 0), (2, 0), (3, 0)], [(2, 0), (4, 0), (6, 0)]], 0) is None
     # a singular leading block still has a one-dimensional kernel
@@ -401,6 +416,48 @@ def test_cut_halves_satisfy_euler_and_cut_additivity():
                     if su.sign() * sw.sign() < 0:
                         expected.add(u.point + (w.point - u.point).scale(su / (su - sw)))
                 assert {v.point for v in verts} == expected, name
+
+
+def sphere_tangents(grid):
+    """The planes <p, x> <= 1 tangent to the unit sphere at the points p that inverse
+    stereographic projection gives from the pairs (u, v) of `grid`."""
+    hs = []
+    for u, v in itertools.product(grid, repeat=2):
+        s = u * u + v * v
+        p = kv(2 * u / (s + 1), 2 * v / (s + 1), (s - 1) / (s + 1))
+        hs.append(HalfSpace(-p, fe(-1)))
+    return PolytopeH(3, hs)
+
+
+def euler_characteristic(p):
+    """V - E + F of bounded three-dimensional `p`, counted apart from the library's face
+    rules: its facets are the distinct sets of three or more vertices that one half-space
+    holds (a face with three vertices is two-dimensional), and its edges the vertex pairs
+    that two of them share (two facets meet in an edge, a vertex or nothing)."""
+    verts = p.vertices()
+    held = {frozenset(i for i, v in enumerate(verts) if j in v.active_facets) for j in range(p.d)}
+    facets = [f for f in held if len(f) >= 3]
+    edges = {f & g for f, g in itertools.combinations(facets, 2) if len(f & g) == 2}
+    assert len(facets) == len(p.drop_redundant()[1])
+    return len(verts) - len(edges) + len(facets)
+
+
+def test_many_facets_satisfy_euler():
+    tangents = sphere_tangents([Fraction(2 * a, 7) for a in range(-7, 8)])
+    assert tangents.d == 225 and tangents.validate().valid
+    # the 70-facet triple of the CLI tests: <mu, X> >= -1, X primitive in {-2..2}^3
+    normals = [x for x in itertools.product(range(-2, 3), repeat=3)
+               if any(x) and math.gcd(*x) == 1][:70]
+    many = PolytopeH(3, [HalfSpace(kv(*x), fe(-1)) for x in normals])
+    report = many.validate()
+    assert report.bounded and report.full_dim and report.vertex_count == 15
+    for p in (tangents, many):
+        assert euler_characteristic(p) == 2
+    # a polygon: as many vertices as edges
+    polygon = PolytopeH(2, [HalfSpace(-kv(2 * u / (u * u + 1), (u * u - 1) / (u * u + 1)), fe(-1))
+                            for u in (Fraction(a, 30) for a in range(-150, 150))])
+    assert polygon.d == 300 and polygon.validate().valid
+    assert len(polygon.vertices()) == polygon.d
 
 
 # -- the h-vector two ways ---------------------------------------------------------
