@@ -11,8 +11,8 @@ Commands
     report     presentation plus charts in one document
 
 Exit codes: 0 success, 2 mathematically meaningful refusal (nonsimple
-polytope, degenerate cut) or work over a budget (tile leaves, vertex
-candidates), 1 anything else (usage errors included).
+polytope, degenerate cut) or work over a budget (tile leaves, rays
+held), 1 anything else (usage errors included).
 Refusals are structured JSON on stderr.  QTK_PRECISION sets SVG float digits (an
 integer 1..17, default 12).  The cyclic garbage collector is paused while a command runs.
 """
@@ -169,15 +169,15 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise ValueError(f"--star takes 1 to {MAX_STAR_ARROWS} arrows, got {args.star}")
         _write(tilings.render_star(args.star, digits), args.output)
         return 0
-    hook = jsonio.patch_hook()
+    leaves: list = []   # the leaf list, filled as the document is read and checked
     if args.input == "-" or args.input is None:
-        doc = json.load(sys.stdin, object_hook=hook)
+        doc = json.load(sys.stdin, object_hook=jsonio.patch_hook(leaves))
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_hook=hook)
-    patch = jsonio.parse_patch(doc)   # the output is opened only for a document it accepts
-    source = tilings.pair_tiles(patch).tiles if args.paired else patch
-    _send(args.output, lambda write: tilings.write_svg(source, write, digits, patch.depth))
+            doc = json.load(fh, object_hook=jsonio.patch_hook(leaves))
+    mode, depth, source = jsonio.read_patch(doc, leaves)   # before the output is opened
+    source = tilings.pair_tiles(source, mode).tiles if args.paired else source
+    _send(args.output, lambda write: tilings.write_svg(source, write, digits, depth))
     return 0
 
 

@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable, NoReturn, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .field import FieldElem, KVector, _check_context, _make
 from .intlattice import AbelianGroupInvariants
@@ -385,58 +385,86 @@ def _node_fault(obj: Any) -> Optional[tuple[str, str]]:
     return None
 
 
-def patch_hook() -> Callable[[dict], Any]:
-    """A `json.load` object_hook for one patch document.
-
-    A node object whose children all decoded becomes a `tilings.Node`, its points shared
-    through a table of this document only and its kind a literal, not the decoded string;
-    any other object stays a dict for `parse_patch` to diagnose.
-    """
-    points: dict[tuple[int, ...], tilings.Cyclo] = {}
-    Node, HalfTile, enter = tilings.Node, tilings.HalfTile, tilings.enter_point
+def patch_hook(leaves: list) -> Callable[[dict], Any]:
+    """A `json.load` object_hook for one patch document that checks each node object as
+    `tilings.verify_patch` would.  A leaf becomes the verified subtree (kind, a, b, c, None,
+    0, 1) of its points' coefficient tuples and is put in the leaf list `leaves`.  A node
+    whose children are verified subtrees of one height, each its `tilings.unfold` child in
+    kind, points and table key (None for a leaf), becomes (kind, a, b, c, its table key,
+    height, leaf count).  Points are shared and kinds literals; other objects stay dicts."""
+    keep, table_key, unfold = {}.setdefault, tilings.table_key, tilings.unfold
 
     def hook(obj: dict) -> Any:
         if _node_fault(obj) is not None:
             return obj
-        kids = obj.get("children", ())
-        for c in kids:
-            if type(c) is not Node:
-                return obj
-        a, b1, b2 = map(tuple, obj["vertices"])
+        a, b, c = map(tuple, obj["vertices"])
+        a, b, c, kids = keep(a, a), keep(b, b), keep(c, c), obj.get("children")
         kind = "acute" if obj["kind"] == "acute" else "obtuse"
-        tile = HalfTile(kind, (points.get(a) or enter(points, a),
-                               points.get(b1) or enter(points, b1),
-                               points.get(b2) or enter(points, b2)))
-        return Node(tile, tuple(kids))
+        if not kids:
+            tilings.put_leaf(leaves, kind, a, b, c)
+            return kind, a, b, c, None, 0, 1
+        key = table_key(kind, a, b, c)
+        grown = key and unfold((kind, (a, b, c), key), 1, key[0])[2]
+        if not grown or len(grown) != len(kids) or type(kids[0]) is not tuple:
+            return obj
+        count = 0
+        for (k, points, child_key), kid in zip(grown, kids):
+            if (type(kid) is not tuple or kid[5] != kids[0][5] or kid[0] != k
+                    or kid[1:4] != points or kid[4] not in (None, child_key)):
+                return obj
+            count += kid[6]
+        return kind, a, b, c, key, kids[0][5] + 1, count
 
     return hook
 
 
-def _rehook(obj: Any, hook: Callable[[dict], Any]) -> Any:
-    """`hook` applied to every object of a JSON tree, children first, as
-    `json.load(..., object_hook=hook)` applies it; other values pass through."""
-    if isinstance(obj, dict):
-        return hook({k: _rehook(v, hook) for k, v in obj.items()})
-    if isinstance(obj, list):
-        return [_rehook(x, hook) for x in obj]
-    return obj
+def _fits(obj: Any, level: int, mode: tilings.Mode, depth: int) -> bool:
+    """Whether `obj` is a verified subtree that `tilings.verify_patch` need not walk at tree
+    level `level`: of height depth - level and, as a root, of its kind's shape in `mode`
+    (so of `mode`'s table).  Below a root one of another mode faults at its parent."""
+    if type(obj) is not tuple or obj[5] != depth - level:
+        return False
+    try:
+        if not level:
+            tilings.HalfTile(obj[0], tuple(tilings.Cyclo(*p) for p in obj[1:4])).check_shape(mode)
+    except ValueError:
+        return False
+    return True
 
 
-def _decode_fault(node: Any, trail: list[int]) -> NoReturn:
-    """Raise the fault of the first object at or below `node` (at `trail`) that
-    `patch_hook` left undecoded; a node object of no fault waits on a child."""
-    while not _node_fault(node):
-        i = next(i for i, c in enumerate(node["children"]) if type(c) is not tilings.Node)
-        node, trail = node["children"][i], trail + [i]
-    raise tilings.PatchFault(trail, *_node_fault(node))
+def _tree(obj: Any, trail: list[int], mode: tilings.Mode, depth: int, points: dict
+          ) -> tilings.Node:
+    """The `tilings.Node` at `trail` of what `verify_patch` reads of a node object or a
+    verified subtree in a patch of `depth`, points shared through `points`; `PatchFault` at
+    the first object that is no node.  A subtree that `_fits` is its root, children None.
+    One that does not fit faults at itself (a root of another mode) or on its leftmost
+    path (its height is wrong): that path is grown, the other children on it are tiles."""
+    def tile(kind: tilings.Kind, verts: Any) -> tilings.HalfTile:
+        return tilings.HalfTile(kind, tuple(points.get(v) or tilings.enter_point(points, v)
+                                            for v in verts))
+
+    if type(obj) is not tuple:
+        if fault := _node_fault(obj):
+            raise tilings.PatchFault(trail, *fault)
+        return tilings.Node(tile("acute" if obj["kind"] == "acute" else "obtuse",
+                                 map(tuple, obj["vertices"])),
+                            tuple(_tree(c, trail + [i], mode, depth, points)
+                                  for i, c in enumerate(obj.get("children", ()))))
+    if _fits(obj, len(trail) - 1, mode, depth):
+        return tilings.Node(tile(obj[0], obj[1:4]), None)
+    kids = tilings.unfold((obj[0], obj[1:4], obj[4]), obj[5] and 1, mode)[2]
+    return tilings.Node(tile(obj[0], obj[1:4]), tuple(
+        _tree((k, *p, key, obj[5] - 1, 0), trail + [0], mode, depth, points) if i == 0
+        else tilings.Node(tile(k, p), None) for i, (k, p, key) in enumerate(kids)))
 
 
-def parse_patch(doc: Any) -> tilings.Patch:
-    """The patch of a document loaded plainly or through `patch_hook()`: the
-    first object that is no node object is named, then `tilings.verify_patch`
-    checks the tree, so the document is one the library can grow.  Faults are
-    named at their node's JSON path.
-    """
+def read_patch(doc: Any, leaves: Optional[list] = None
+               ) -> tuple[tilings.Mode, int, "list | tilings.Patch"]:
+    """The mode and depth of a patch document loaded plainly or through `patch_hook(leaves)`,
+    and `leaves` if given, every root `_fits` and the leaves are theirs alone (none from an
+    extra or a repeated key); else, `leaves` emptied, the patch.  Its faults are named at
+    their JSON paths: first an object that is no node object, else the first fault that
+    `tilings.verify_patch` finds in what the hook did not pass."""
     if not isinstance(doc, dict) or doc.get("mode") not in ("p2", "p3"):
         raise ParseError("$.mode", "expected 'p2' or 'p3'")
     mode, depth, roots = doc["mode"], doc.get("depth"), doc.get("roots")
@@ -444,14 +472,25 @@ def parse_patch(doc: Any) -> tilings.Patch:
         raise ParseError("$.depth", "expected a non-negative integer")
     if not isinstance(roots, list) or not roots:
         raise ParseError("$.roots", "expected a non-empty list")
-    roots = _rehook(roots, patch_hook())
+    if leaves is not None:
+        if (all(_fits(r, 0, mode, depth) for r in roots)
+                and sum(r[6] for r in roots) == sum(1 for _ in tilings.tile_records(leaves))):
+            return mode, depth, leaves
+        leaves.clear()
+    points: dict = {}
     try:
-        for i, r in enumerate(roots):
-            if type(r) is not tilings.Node:
-                _decode_fault(r, [i])
-        patch = tilings.Patch(mode, tuple(roots), depth)
+        patch = tilings.Patch(mode, tuple(_tree(r, [i], mode, depth, points)
+                                          for i, r in enumerate(roots)), depth)
         tilings.verify_patch(patch)
     except tilings.PatchFault as exc:
         path = f"$.roots[{exc.trail[0]}]" + "".join(f".children[{i}]" for i in exc.trail[1:])
         raise ParseError(path + exc.field, str(exc)) from None
-    return patch
+    # a tree passed whole is a plain document's; a hooked one's roots all fit: grow them
+    return mode, depth, tilings.Patch(mode, tuple(
+        t if type(r) is not tuple else tilings._grow((r[0], r[1:4], r[4]), depth, mode, points)
+        for r, t in zip(roots, patch.roots)), depth)
+
+
+def parse_patch(doc: Any) -> tilings.Patch:
+    """The patch of a document loaded plainly or through `patch_hook`: `read_patch`'s."""
+    return read_patch(doc)[2]

@@ -21,16 +21,17 @@ One table, kept for the life of the process, holds the substitution: for each
 (mode, `tile_key`), the children's kinds and their offsets from the lifted apex,
 made by the mode's rule with every child's shape checked (40 keys per mode at the
 seeds' scale).  `unfold` grows tiles from it in integers, for `deflate` and for
-`jsonio.write_patch`, which writes each grown tile as it is made.  `verify_patch`,
-the one check of a tree (patch loading runs it), compares every node's children
-with it and every leaf's depth with the patch's, naming a fault's node by its path.
+`jsonio.write_patch`, which writes each grown tile as it is made.  `verify_patch`
+compares every node's children with it and every leaf's depth with the patch's, naming
+a fault's node by its path: it is the reference for the check `jsonio.patch_hook` makes
+as a document decodes, and names the faults that check finds.
 The tests check apart, by directed-edge cancellation, that entries tile their parents.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Any, Callable, Literal, Optional, Sequence
+from typing import Any, Callable, Iterator, Literal, Optional, Sequence
 
 from .field import FieldElem, _make
 
@@ -298,11 +299,14 @@ def _children_p3(t: HalfTile) -> tuple[HalfTile, ...]:
 def tile_key(tile: HalfTile) -> tuple:
     """(kind, b1 - a, b2 - a) as 9 values: all `check_shape` reads, and (as
     `_lift` is Z-linear) all the substitution reads up to translation."""
-    a, b1, b2 = tile.vertices
-    a0, a1, a2, a3 = a.c
-    p0, p1, p2, p3 = b1.c
-    q0, q1, q2, q3 = b2.c
-    return (tile.kind, p0 - a0, p1 - a1, p2 - a2, p3 - a3, q0 - a0, q1 - a1, q2 - a2, q3 - a3)
+    return _key_of(tile.kind, *[v.c for v in tile.vertices])
+
+
+def _key_of(kind: Kind, a: tuple, b1: tuple, b2: tuple) -> tuple:   # of coefficient tuples
+    a0, a1, a2, a3 = a
+    p0, p1, p2, p3 = b1
+    q0, q1, q2, q3 = b2
+    return (kind, p0 - a0, p1 - a1, p2 - a2, p3 - a3, q0 - a0, q1 - a1, q2 - a2, q3 - a3)
 
 
 # The substitution table: (mode, tile_key) -> one (kind, vertex offsets from the lifted
@@ -329,6 +333,25 @@ def substitution(mode: Mode, tile: HalfTile, key: Optional[tuple] = None) -> tup
     return rule
 
 
+def table_key(kind: Kind, a: tuple, b1: tuple, b2: tuple) -> Optional[tuple]:
+    """The table key of the tile of `kind` at coefficient tuples a, b1, b2, its entry made
+    if new; None if it has neither mode's shape.  Kind and shape fix the mode (p2 acute and
+    p3 obtuse are golden triangles): the table's, else found by shape tests."""
+    tk = _key_of(kind, a, b1, b2)
+    for key in (("p2", tk), ("p3", tk)):
+        if key in _RULES:
+            return key
+    tile = HalfTile(kind, (Cyclo(*a), Cyclo(*b1), Cyclo(*b2)))
+    for mode in ("p2", "p3"):
+        try:
+            tile.check_shape(mode)
+        except ValueError:
+            continue
+        substitution(mode, tile, (mode, tk))
+        return mode, tk
+    return None
+
+
 class PatchFault(ValueError):
     """A fault of a patch tree at the node whose index path (root index, then
     child indices) is `trail`, in its `field`: "", ".vertices" or ".children"."""
@@ -342,7 +365,8 @@ def verify_patch(patch: Patch) -> None:
     """Raise `PatchFault` at the first fault, depth first, unless every leaf sits
     at tree depth `patch.depth`, every root has its kind's shape and every internal
     node's children are its table entry moved by its lifted apex (so every tile has
-    its shape: an entry's children were checked when it was made)."""
+    its shape: an entry's children were checked when it was made).  A node whose
+    children are None is taken as checked below (`jsonio.read_patch` cuts trees so)."""
     for i, r in enumerate(patch.roots):
         _check(r, [i], patch.mode, patch.depth, None)
 
@@ -350,6 +374,8 @@ def verify_patch(patch: Patch) -> None:
 def _check(node: Node, trail: list[int], mode: Mode, depth: int, key: Optional[tuple]) -> None:
     """`verify_patch` of the node at `trail`, whose table key is `key` if known."""
     kids, level = node.children, len(trail) - 1
+    if kids is None:
+        return
     if bool(kids) != (level < depth):
         raise PatchFault(trail, "", f"{'leaf' if not kids else 'node with children'} at "
                                     f"tree depth {level}, but every leaf must sit at depth {depth}")
@@ -530,36 +556,52 @@ _WHOLE_NAME = {("p2", "acute"): "kite", ("p2", "obtuse"): "dart",
                ("p3", "acute"): "thick", ("p3", "obtuse"): "thin"}
 
 
-def pair_tiles(patch: Patch, mode: Optional[Mode] = None) -> PairReport:
-    """Merge mirror mates sharing their glue edge into whole tiles.
+# A leaf list holds a patch's leaves in order, four items a leaf: its kind and its points'
+# coefficient tuples.  `jsonio.patch_hook` fills one; `tile_records` reads it back.
+def put_leaf(leaves: list, kind: Kind, a: tuple, b: tuple, c: tuple) -> None:
+    leaves.extend((kind, a, b, c))
+
+
+def tile_records(tiles: Sequence) -> Iterator[tuple]:
+    """(kind, then each vertex's coefficient tuple) of each tile of a leaf list, or of a
+    sequence of `HalfTile`s or `WholeTile`s, in order."""
+    if tiles and type(tiles[0]) is not str:
+        return ((t.kind, *[v.c for v in t.vertices]) for t in tiles)
+    return zip(*[iter(tiles)] * 4)
+
+
+def pair_tiles(source: "Patch | list", mode: Optional[Mode] = None) -> PairReport:
+    """Merge mirror mates sharing their glue edge into whole tiles, of a patch or of a leaf
+    list in `mode`.
 
     In mode p2 mates share the ordered axis edge (same apex, same far end);
     in mode p3 mates share the base and sit point-symmetrically about its
     midpoint (equivalent to the mirror position for isosceles tiles).
     """
-    mode = mode or patch.mode
-    leaves = patch.leaves()
-    index: dict[tuple, list[int]] = {}    # keys arrive in the order of their first leaf
-    for i, t in enumerate(leaves):
-        edge = t.glue_edge(mode)
-        index.setdefault((t.kind, edge if mode == "p2" else frozenset(edge)), []).append(i)
+    if isinstance(source, Patch):
+        mode, source = mode or source.mode, [x for r in tile_records(source.leaves()) for x in r]
+    index: dict[tuple, list[int]] = {}    # (kind, `glue_edge`), in the order of first leaves
+    for i, (kind, a, b1, b2) in enumerate(tile_records(source)):
+        index.setdefault((kind, (a, b2) if mode == "p2" else frozenset((b1, b2))), []).append(i)
+    points: dict[tuple[int, ...], Cyclo] = {}
     tiles: list[WholeTile] = []
     paired: set[int] = set()
     for (kind, _edge), group in index.items():
         if len(group) != 2:
             continue
         i, j = group
-        a, b1, b2 = leaves[i].vertices
-        mate = leaves[j].vertices
+        _, a, b1, b2 = source[4 * i:4 * i + 4]
+        mate = source[4 * j:4 * j + 4]
         if mode == "p2":
-            corners = (a, b1, b2, mate[1])
-        elif mate[0] == b1 + b2 - a:
-            corners = (a, b1, mate[0], b2)
+            corners = (a, b1, b2, mate[2])
+        elif mate[1] == tuple(x + y - z for x, y, z in zip(b1, b2, a)):
+            corners = (a, b1, mate[1], b2)
         else:
             continue  # same diagonal but not the mirror position
+        corners = tuple(points.get(c) or enter_point(points, c) for c in corners)
         tiles.append(WholeTile(_WHOLE_NAME[(mode, kind)], corners, (i, j)))
         paired.update(group)
-    leftovers = tuple(i for i in range(len(leaves)) if i not in paired)
+    leftovers = tuple(i for i in range(len(source) // 4) if i not in paired)
     return PairReport(tuple(tiles), leftovers)
 
 
@@ -606,19 +648,18 @@ def _svg_head(x0: float, y0: float, x1: float, y1: float, digits: int) -> str:
             + " ".join(_fmt(v, digits) for v in vb) + '">')
 
 
-def render_svg(source: "Patch | Sequence[WholeTile]", digits: int = 12,
-               depth: int = 0) -> str:
+def render_svg(source: "Patch | Sequence", digits: int = 12, depth: int = 0) -> str:
     """`write_svg`'s text, whole."""
     parts: list[str] = []
     write_svg(source, parts.append, digits, depth)
     return "".join(parts)
 
 
-def write_svg(source: "Patch | Sequence[WholeTile]", write: Callable[[str], Any],
-              digits: int = 12, depth: int = 0) -> None:
-    """Send a deterministic SVG of a patch's leaves or a list of paired tiles to `write`,
-    `_SVG_CHUNK` polygons a piece.  Ring-to-float conversion happens only here: stored
-    coordinates at depth k are divided by phi^k, and paired tiles take the `depth` of
+def write_svg(source: "Patch | Sequence", write: Callable[[str], Any], digits: int = 12,
+              depth: int = 0) -> None:
+    """Send a deterministic SVG of a patch's leaves, a leaf list or paired tiles to `write`,
+    `_SVG_CHUNK` polygons a piece.  Ring-to-float conversion happens only here: coordinates
+    at depth k are divided by phi^k, and leaf lists and paired tiles take the `depth` of
     their patch.  A first pass keeps each distinct point's "x,y" and the view's bounds
     (repeated points cannot move them); the second writes the polygons."""
     if isinstance(source, Patch):
@@ -626,21 +667,21 @@ def write_svg(source: "Patch | Sequence[WholeTile]", write: Callable[[str], Any]
     scale = ((1 + 5 ** 0.5) / 2) ** (-depth)
     drawn: dict[tuple[int, ...], str] = {}   # coefficients -> "x,y"
     x0, y0, x1, y1 = cmath.inf, cmath.inf, -cmath.inf, -cmath.inf
-    for t in source:
-        for v in t.vertices:
-            if v.c not in drawn:
-                p = v.to_complex() * scale
+    for t in tile_records(source):
+        for v in t[1:]:
+            if v not in drawn:
+                p = Cyclo(*v).to_complex() * scale
                 x, y = p.real, p.imag
-                drawn[v.c] = f"{_fmt(x, digits)},{_fmt(y, digits)}"
+                drawn[v] = f"{_fmt(x, digits)},{_fmt(y, digits)}"
                 x0, x1 = (x if x < x0 else x0), (x if x > x1 else x1)
                 y0, y1 = (y if y < y0 else y0), (y if y > y1 else y1)
     parts = [_svg_head(x0, y0, x1, y1, digits)]
-    for t in source:
+    for t in tile_records(source):
         if len(parts) >= _SVG_CHUNK:
             write("".join(parts))
             parts.clear()
-        parts.append(f'\n<polygon points="{" ".join([drawn[v.c] for v in t.vertices])}" '
-                     f'fill="{_FILL[t.kind]}" stroke="#222222" stroke-width="0.01"/>')
+        parts.append(f'\n<polygon points="{" ".join([drawn[v] for v in t[1:]])}" '
+                     f'fill="{_FILL[t[0]]}" stroke="#222222" stroke-width="0.01"/>')
     parts.append("\n</svg>\n")
     write("".join(parts))
 

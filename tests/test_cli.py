@@ -478,6 +478,79 @@ def test_render_refuses_children_that_are_not_the_substitution(fault, path, flag
     assert not svg.exists()
 
 
+def _relabelled_p3():   # a p2 tree whose every node matches the p2 table
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    doc["mode"] = "p3"
+    return doc
+
+
+def _a_root_leaf():
+    doc = jsonio.encode_patch(deflate(tilings.mirror_double(seed("p3")), 2))
+    doc["roots"][1]["children"] = []
+    return doc
+
+
+def _a_p3_root():   # a valid p3 tree as the second root of a p2 patch
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    doc["roots"].append(jsonio.encode_patch(deflate(seed("p3", "obtuse"), 2))["roots"][0])
+    return doc
+
+
+def _a_grafted_subtree():   # a valid depth-1 tree of the right height, in the wrong place
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    doc["roots"][0]["children"][2] = jsonio.encode_patch(deflate(seed("p2"), 1))["roots"][0]
+    return doc
+
+
+@pytest.mark.parametrize("make, message", [
+    (_relabelled_p3, "$.roots[0].vertices: bad shape for p3 acute half-tile"),
+    (_a_root_leaf, "$.roots[1]: leaf at tree depth 0, but every leaf must sit at depth 2"),
+    (_a_p3_root, "$.roots[1].vertices: bad shape for p2 obtuse half-tile"),
+    (_a_grafted_subtree,
+     "$.roots[0].children: child 2 is not the p2 substitution of the parent"),
+])
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_verified_subtrees_are_refused_where_they_do_not_fit(make, message, flags, tmp_path,
+                                                             capsys):
+    # every subtree below the fault passes the check made while the document decodes
+    bad, svg = tmp_path / "bad.json", tmp_path / "out.svg"
+    bad.write_text(json.dumps(make()))
+    code, out, err = run(capsys, "render", "--input", str(bad), "--output", str(svg), *flags)
+    assert (code, out, err) == (1, "", f"parse error: {message}\n")
+    assert not svg.exists()
+    with pytest.raises(jsonio.ParseError) as exc:
+        jsonio.parse_patch(json.loads(bad.read_text()))
+    assert str(exc.value) == message
+
+
+def _with_a_stray_leaf(where):
+    """A p2 depth-2 document holding a copy of one of its leaves outside the tree: under an
+    extra key of the document or of the root, or in a list a repeated key replaces."""
+    doc = jsonio.encode_patch(deflate(seed("p2"), 2))
+    leaf = json.dumps(doc["roots"][0]["children"][0]["children"][0])
+    text, root = json.dumps(doc), json.dumps(doc["roots"][0])
+    return {"document key": text[:-1] + ', "note": ' + leaf + "}",
+            "node key": text.replace(root, root[:-1] + ', "note": ' + leaf + "}"),
+            "repeated children": text.replace(root, '{"children": [' + leaf + "], " + root[1:]),
+            "repeated roots": '{"roots": [' + leaf + "], " + text[1:]}[where]
+
+
+@pytest.mark.parametrize("where", ["document key", "node key", "repeated children",
+                                   "repeated roots"])
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_render_draws_the_leaves_of_the_tree_alone(where, flags, tmp_path, capsys):
+    # each leaf object is decoded and listed as it is read; only the roots' leaves are drawn
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps(jsonio.encode_patch(deflate(seed("p2"), 2))))
+    code, clean, _ = run(capsys, "render", "--input", str(path), *flags)
+    assert code == 0
+    path.write_text(_with_a_stray_leaf(where))
+    assert run(capsys, "render", "--input", str(path), *flags) == (0, clean, "")
+    patch = jsonio.parse_patch(json.loads(path.read_text()))
+    source = tilings.pair_tiles(patch).tiles if flags else patch
+    assert clean == tilings.render_svg(source, 12, patch.depth)
+
+
 SEEDS = [(mode, kind, doubled) for mode in ("p2", "p3") for kind in ("acute", "obtuse")
          for doubled in (False, True)]
 
@@ -683,6 +756,71 @@ def test_a_non_integer_precision_is_an_error_before_any_input_or_output(value, a
 def test_an_integer_precision_is_clamped_to_1_through_17(value, digits, capsys, monkeypatch):
     monkeypatch.setenv("QTK_PRECISION", value)
     assert run(capsys, "render", "--star", "1") == (0, tilings.render_star(1, digits), "")
+
+
+def test_render_keeps_the_leaf_list_not_the_tree(tmp_path, capsys, monkeypatch):
+    doc, svg = tmp_path / "patch.json", tmp_path / "out.svg"
+    assert run(capsys, "tile", "--type", "p2", "--steps", "8", "--output", str(doc)) == (0, "", "")
+    size = doc.stat().st_size   # 361 804 bytes
+    render = ["render", "--input", str(doc), "--output", str(svg)]
+    assert run(capsys, *render) == (0, "", "")   # warm: the table knows every key
+    made = {"Node": 0, "HalfTile": 0}
+    for name in made:
+        init = getattr(tilings, name).__init__
+        monkeypatch.setattr(getattr(tilings, name), "__init__",
+                            lambda self, *args, name=name, init=init: made.update(
+                                {name: made[name] + 1}) or init(self, *args))
+    assert run(capsys, *render) == (0, "", "")
+    assert made == {"Node": 0, "HalfTile": 1}   # the one root's, for its shape test
+    monkeypatch.undo()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(render) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text while it decodes, the leaf list and the point table: about twice the text
+    assert peak < 3.5 * size, (peak, size)
+
+
+def _apex_moved(doc):
+    doc["roots"][-1]["vertices"][0][0] += 1
+
+
+def _relabelled(doc):
+    doc["mode"] = "p3"
+
+
+def _one_level_short(doc):
+    doc["depth"] += 1
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_apex_moved, "$.roots[1].vertices: acute half-tile is not isosceles"),
+    (_relabelled, "$.roots[0].vertices: bad shape for p3 acute half-tile"),
+    (_one_level_short, "$.roots[0]" + ".children[0]" * 7
+     + ": leaf at tree depth 7, but every leaf must sit at depth 8"),
+])
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_a_refusal_grows_only_what_verify_patch_reads(fault, message, flags, tmp_path, capsys,
+                                                      monkeypatch):
+    # 3 192 nodes: the subtrees the decoding check passed are not grown again to be refused
+    doc = jsonio.encode_patch(deflate(tilings.mirror_double(seed("p2")), 7))
+    fault(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    made = []
+    init = tilings.Node.__init__
+    monkeypatch.setattr(tilings.Node, "__init__",
+                        lambda self, *args: made.append(1) or init(self, *args))
+    code, out, err = run(capsys, "render", "--input", str(path), *flags)
+    assert (code, out, err) == (1, "", f"parse error: {message}\n")
+    assert len(made) < 100, len(made)
+    monkeypatch.undo()
+    with pytest.raises(jsonio.ParseError) as exc:
+        jsonio.parse_patch(json.loads(path.read_text()))   # and plainly, by `verify_patch`
+    assert str(exc.value) == message
 
 
 def test_write_svg_holds_the_point_texts_not_the_drawing():

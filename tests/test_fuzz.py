@@ -18,6 +18,7 @@ import pytest
 from quasitoric import construction, jsonio
 from quasitoric.cli import main
 from quasitoric.examples import get_example
+from quasitoric.tilings import Cyclo, HalfTile, Node, Patch, PatchFault, verify_patch
 
 _VALUES = (None, True, False, 0, 1, -1, 2, 10 ** 40, 0.5, "", "0", "1/2", "-3", "1/0",
            "2sqrt5", "1+1sqrt2", "x", [], {}, [0], {"a": "1"})
@@ -130,6 +131,39 @@ def test_mutated_patch_trees_are_refused_at_a_node_path(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 1 and err.startswith("parse error: $.roots["), err
             assert not svg.exists()
+
+
+def _reference(doc):
+    """(exit code, stderr) of `render` of `doc`, a patch of well-formed nodes, by a decoder
+    apart from `jsonio.patch_hook`: its objects made `Node`s, then `verify_patch`."""
+    def node(obj):
+        tile = HalfTile(obj["kind"], tuple(Cyclo(*v) for v in obj["vertices"]))
+        return Node(tile, tuple(node(c) for c in obj["children"]))
+
+    try:
+        verify_patch(Patch(doc["mode"], tuple(node(r) for r in doc["roots"]), doc["depth"]))
+    except PatchFault as exc:
+        path = f"$.roots[{exc.trail[0]}]" + "".join(f".children[{i}]" for i in exc.trail[1:])
+        return 1, f"parse error: {path}{exc.field}: {exc}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--paired"]])
+def test_render_judges_mutated_trees_as_a_reference_decoder(flags, tmp_path, capsys):
+    path, svg = tmp_path / "patch.json", tmp_path / "out.svg"
+    rng, refused = random.Random(29), 0
+    for mode, kind, steps in (("p2", "acute", 3), ("p3", "obtuse", 3), ("p2", "obtuse", 4)):
+        assert _run(capsys, "tile", "--type", mode, "--seed", kind, "--steps", str(steps),
+                    "--doubled", "--output", str(path)) == 0
+        base = json.loads(path.read_text())
+        for doc in [base] + [mutate_tree(base, rng) for _ in range(30)]:
+            path.write_text(json.dumps(doc))
+            code = main(["render", "--input", str(path), "--output", str(svg), *flags])
+            assert (code, capsys.readouterr().err) == _reference(doc)
+            assert svg.exists() == (code == 0)
+            svg.unlink(missing_ok=True)
+            refused += code
+    assert refused == 90
 
 
 # One legal command line per subcommand (and per way of giving `cut` and `render`

@@ -248,7 +248,7 @@ def _tile_text(mode, kind, doubled, depth):
 
 
 def _hooked(text):
-    return jsonio.parse_patch(json.loads(text, object_hook=jsonio.patch_hook()))
+    return jsonio.parse_patch(json.loads(text, object_hook=jsonio.patch_hook([])))
 
 
 def _vertices(patch):
@@ -296,8 +296,9 @@ def test_shapes_are_checked_once_per_distinct_key(monkeypatch):
     table = {}
     monkeypatch.setattr(tilings, "_RULES", table)
     _hooked(text)
-    # the two roots, then the children of each table entry as it is made
-    assert len(calls) == 2 + sum(len(rule) for rule in table.values())
+    # the two roots; for each inner node's key met first, the shape tests that find its
+    # mode (p2, then p3: two for this p3 patch), then the children of its new entry
+    assert len(calls) == 2 + sum(2 + len(rule) for rule in table.values())
     assert 0 < len(table) <= 40     # 2 kinds x 10 directions x 2 chiralities
     calls.clear()
     _hooked(text)                   # the table outlives the document: the roots only
@@ -391,7 +392,7 @@ def test_decoded_kinds_are_the_two_literals(hooked):
     kinds = ("acute", "obtuse")
     text = json.dumps(jsonio.encode_patch(deflate(mirror_double(seed("p3", "obtuse")), 4)))
     assert json.loads(text)["roots"][0]["kind"] is not kinds[1]   # json makes a new string
-    doc = json.loads(text, object_hook=jsonio.patch_hook()) if hooked else json.loads(text)
+    doc = json.loads(text, object_hook=jsonio.patch_hook([])) if hooked else json.loads(text)
     stack, seen = list(jsonio.parse_patch(doc).roots), 0
     while stack:
         node = stack.pop()
