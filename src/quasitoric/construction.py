@@ -8,9 +8,11 @@ certified in Q), this module computes:
   * the cutting group data: continuous generators (the kernel rows again, read
     as exponent directions on the d-torus), discrete generators representing
     the component group, and the component group's invariant factors.  Both
-    read one fraction-free elimination over Z[sqrt D] of [pi | the generators],
-    pi having the normals as columns, and one Smith form of the relations and
-    certificates, which says which generators lie in the Z-span of the normals;
+    read one fraction-free elimination over Z[sqrt D] of [pi | the generators]
+    (`field._kernel_and_solutions`), pi having the normals as columns read right
+    to left, so each generator's solution is already reduced modulo the kernel;
+    and one Smith form of the relations and certificates, which says which
+    generators lie in the Z-span of the normals;
   * one chart per vertex, with exact domain inequalities and the countable
     chart group acting by angles mod Z^n.  At a simple vertex the n active
     normals form a basis, so both are coordinates in that basis: of the other
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import FieldElem, KVector, _canonical_kernel, _eliminate, _integer_rows, _over
+from .field import FieldElem, KVector, _eliminate, _integer_rows, _kernel_and_solutions, _over
 from .intlattice import AbelianGroupInvariants, int_solve  # int_solve: a perfbench trace site
 from .polytope import PolytopeH, VertexData, cut_with_maps
 from .quasilattice import (Quasilattice, certify, combination, is_discrete,
@@ -153,30 +155,14 @@ class Classification:
 def build_presentation(triple: Triple) -> Presentation:
     triple.ensure_valid()
     d, n, fd = triple.polytope.d, triple.polytope.dim, triple.polytope.field_d
-    # [pi | every generator], pi = the facet normals as columns, of rank n: every
-    # pivot falls in pi, and column d + i over the last pivot delta holds a
-    # solution of pi x = generator i, zero at pi's free columns
-    m, pivots, delta = _eliminate(
-        _integer_rows(zip(*triple.normals, *triple.lattice.generators)), fd)
-    if len(pivots) != n or pivots[-1] >= d:
-        raise AssertionError("internal invariant breach: a pivot outside the normals")
-    kernel, kernel_pivots = _canonical_kernel(m, pivots, delta, d, fd)
-    assert len(kernel) == d - n
-    if any(row.is_zero() for row in kernel):
-        raise AssertionError("internal invariant breach: zero level row")
+    # pi = the facet normals as columns; each generator's solution is zero at the
+    # kernel's pivots, so reducing it mod Z^d + the kernel's span is reducing it mod 1
+    kernel, thetas = _kernel_and_solutions(zip(*triple.normals, *triple.lattice.generators), d, fd)
     levels = KVector(triple.levels, fd)
     rows = tuple(LevelRow(row, -row.dot(levels)) for row in kernel)
-
     component, spanned = quotient_and_spanned(triple.lattice, triple.certificates)
-    disc, zero = [], levels[0].zero()
-    for c in (c for c, inside in enumerate(spanned, d) if not inside):   # nonzero classes
-        theta = [zero] * d
-        for i, p in enumerate(pivots):
-            theta[p] = _over(m[i][c], delta, fd)
-        # theta mod (Z^d + the kernel's span): zero its kernel pivots, then floor mod 1
-        for g, p in zip(kernel, kernel_pivots):
-            theta = [x - y * theta[p] for x, y in zip(theta, g)]
-        disc.append(KVector([x.mod1() for x in theta], fd))
+    disc = [KVector([x.mod1() for x in theta], fd)   # the nonzero classes
+            for theta, inside in zip(thetas, spanned) if not inside]
     return Presentation(d, n, rows, tuple(kernel), tuple(disc), component)
 
 

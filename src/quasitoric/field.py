@@ -347,30 +347,31 @@ def _over(num: _Pair, den: _Pair, d: int) -> FieldElem:
     return _make(x * c - y * e * d, y * c - x * e, c * c - e * e * d, d)
 
 
-def _reduced_rows(m: list[list[_Pair]], pivots: list[int], delta: _Pair, d: int,
-                  ) -> list[KVector]:
-    """The reduced echelon rows of an `_eliminate` result (m, pivots, delta)."""
-    zero, one = _make(0, 0, 1, d), _make(1, 0, 1, d)
-    stale = set(pivots)
-    return [KVector([one if j == p else zero if j in stale else _over(x, delta, d)
-                     for j, x in enumerate(m[i])], d) for i, p in enumerate(pivots)]
+def _kernel_and_solutions(rows: Iterable[Sequence[FieldElem]], ncols: int, d: int,
+                          ) -> tuple[list[KVector], list[KVector]]:
+    """The right kernel of A, and a solution of A x = b for each column b of B, off
+    one `_eliminate` of [A | B], A being the first `ncols` columns of `rows`.
 
+    A's columns are read right to left, so its pivots are A's basis taken greedily
+    from the right and the free columns are the complement, a basis of the dual
+    matroid (Oxley, Matroid Theory, ch. 2).  Free column f gives the kernel row 1
+    at f and -m[i][f]/delta at pivot c_i (m's columns in the reversed order),
+    nonzero only at pivots right of f: these rows are already the reduced echelon
+    basis.  Each solution is supported on the pivots, so it is zero at every pivot
+    of the kernel.  ValueError when a column of B lies outside A's column span.
+    """
+    m, pivots, delta = _eliminate([r[:ncols][::-1] + r[ncols:] for r in _integer_rows(rows)], d)
+    if pivots and pivots[-1] >= ncols:
+        raise ValueError("a column of B lies outside the column span of A")
+    at = {ncols - 1 - p: i for i, p in enumerate(pivots)}   # basis column -> its pivot row
+    zero, one, minus = _make(0, 0, 1, d), _make(1, 0, 1, d), (-delta[0], -delta[1])
 
-def _canonical_kernel(m: list[list[_Pair]], pivots: list[int], delta: _Pair, ncols: int,
-                      d: int) -> tuple[list[KVector], list[int]]:
-    """The reduced echelon basis of the right kernel of the first `ncols` columns
-    of an `_eliminate` result whose pivots all lie in them, and its pivot columns.
-    Free column f gives the kernel row delta at f and -m[i][f] at pivot c_i; one
-    more elimination of these integer rows reduces them."""
-    raw = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [(0, 0)] * ncols
-        v[f] = delta
-        for i, p in enumerate(pivots):
-            v[p] = (-m[i][f][0], -m[i][f][1])
-        raw.append(v)
-    k, kernel_pivots, k_delta = _eliminate(raw, d)
-    return _reduced_rows(k, kernel_pivots, k_delta, d), kernel_pivots
+    def vector(c: int, den: _Pair, f: int = -1) -> KVector:   # m[i][c] / den at the basis
+        return KVector([one if j == f else _over(m[at[j]][c], den, d) if j in at else zero
+                        for j in range(ncols)], d)
+
+    kernel = [vector(ncols - 1 - f, minus, f) for f in range(ncols) if f not in at]
+    return kernel, [vector(c, delta) for c in range(ncols, len(m[0]) if m else 0)]
 
 
 class KVector:
@@ -432,12 +433,12 @@ class KVector:
 class KMatrix:
     """Immutable dense matrix over one quadratic field.
 
-    Rank, echelon form, kernel and solving all read one fraction-free
-    elimination of the rows over Z[sqrt D] (`_eliminate`); the reduced echelon
-    form (leftmost pivots, pivots = 1) is the canonical form used throughout
-    the package.  The package itself does not use this class: presentations,
-    vertex points and chart coordinates call `_eliminate` themselves and convert
-    the pairs they read with `_over`.
+    Rank, echelon form and solving each read one fraction-free elimination of
+    the rows over Z[sqrt D] (`_eliminate`), and the kernel reads one through
+    `_kernel_and_solutions`; the reduced echelon form (leftmost pivots, pivots
+    = 1) is the canonical form used throughout the package.  The package itself
+    does not use this class: presentations, vertex points and chart coordinates
+    call those routines themselves and convert the pairs they read with `_over`.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "d")
@@ -481,24 +482,26 @@ class KMatrix:
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> "KMatrix":
-        m, pivots, delta = _eliminate(_integer_rows(self.rows), self.d)
-        return KMatrix([v.entries for v in _reduced_rows(m, pivots, delta, self.d)],
-                       ncols=self.ncols, d=self.d)
+        d = self.d
+        m, pivots, delta = _eliminate(_integer_rows(self.rows), d)
+        zero, one, stale = _make(0, 0, 1, d), _make(1, 0, 1, d), set(pivots)
+        return KMatrix([[one if j == p else zero if j in stale else _over(x, delta, d)
+                         for j, x in enumerate(m[i])] for i, p in enumerate(pivots)],
+                       ncols=self.ncols, d=d)
 
     def rank(self) -> int:
         return len(_eliminate(_integer_rows(self.rows), self.d)[1])
 
     def kernel_basis(self) -> list[KVector]:
         """Canonical basis of the right kernel, in reduced echelon form."""
-        m, pivots, delta = _eliminate(_integer_rows(self.rows), self.d)
-        return _canonical_kernel(m, pivots, delta, self.ncols, self.d)[0]
+        return _kernel_and_solutions(self.rows, self.ncols, self.d)[0]
 
     def solve(self, b: KVector) -> Optional[tuple[KVector, list[KVector]]]:
         """Solve A x = b; returns (particular solution, kernel basis) or None.
 
-        The kernel basis is in canonical reduced echelon form, so re-solving
-        with it reproduces the same rows.  One elimination of [A | b] yields
-        both the solution and the kernel.
+        The particular solution, read off one elimination of [A | b], is zero
+        at the columns left free when pivots are taken from the left; the
+        kernel basis is `kernel_basis()`, in canonical reduced echelon form.
         """
         if len(b) != self.nrows:
             raise ValueError("right-hand side has wrong length")
@@ -511,4 +514,4 @@ class KMatrix:
         x = [_make(0, 0, 1, d)] * nc
         for i, p in enumerate(pivots):
             x[p] = _over(m[i][nc], delta, d)
-        return KVector(x, d), _canonical_kernel(m, pivots, delta, nc, d)[0]
+        return KVector(x, d), self.kernel_basis()

@@ -623,7 +623,7 @@ def test_vertex_budget_refuses_before_any_solve(tmp_path, capsys, monkeypatch):
     doc.write_text(jsonio.dumps_canonical(jsonio.encode_triple(_many_facet_triple(70))))
     monkeypatch.setattr(polytope, "MAX_RAYS", 10)
     calls = []
-    # a presentation's two eliminations and its Smith form
+    # a presentation's elimination and its Smith form
     for owner, name in ((construction, "_eliminate"), (field, "_eliminate"), (quasilattice, "snf")):
         method = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, m=method, **k: calls.append(a) or m(*a, **k))

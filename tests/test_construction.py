@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from quasitoric.intlattice import AbelianGroupInvariants, hnf_basis, int_solve, 
 from quasitoric.polytope import HalfSpace, PolytopeH
 from quasitoric.quasilattice import Quasilattice, relation_lattice, split_target, z_rank
 
+import fieldmatrix
 from fieldmatrix import inverse, matvec, torus_classes_equal
 from halves import SIMPLE_EXAMPLES, seeded_halves
 
@@ -185,9 +187,9 @@ def test_build_charts_eliminates_once_per_vertex(monkeypatch):
         assert len(calls) == len(charts) == len(t.polytope.vertices())
 
 
-def test_build_presentation_eliminates_twice_and_makes_one_smith_form(monkeypatch):
-    # one elimination of [pi | generators], one of the raw kernel rows, and one
-    # Smith form of [relations; certificates]; no integer solve
+def test_build_presentation_eliminates_once_and_makes_one_smith_form(monkeypatch):
+    # one elimination of [pi | generators] and one Smith form of
+    # [relations; certificates]; no integer solve
     triples, calls = _simple_triples_and_halves(6262), []
     eliminate, smith = field._eliminate, quasilattice.snf
     spy = lambda rows, d: calls.append("eliminate") or eliminate(rows, d)
@@ -199,19 +201,47 @@ def test_build_presentation_eliminates_twice_and_makes_one_smith_form(monkeypatc
         relation_lattice(t.lattice)   # once per quasilattice, kept on it
         calls.clear()
         build_presentation(t)
-        assert sorted(calls) == ["eliminate", "eliminate", "snf"]
+        assert sorted(calls) == ["eliminate", "snf"]
+
+
+def _tangent_polygon(q, a_range):
+    """The tangent lines to the unit circle at the points that inverse stereographic
+    projection gives from u = a/q, a in `a_range`, with primitive integer normals;
+    the lattice is Z^2."""
+    halfspaces = []
+    for a in a_range:
+        x, y, level = q * q - a * a, 2 * a * q, q * q + a * a
+        g = math.gcd(x, y, level)
+        halfspaces.append(HalfSpace(KVector([fe(-x // g), fe(-y // g)]), fe(-level // g)))
+    return Triple.build(PolytopeH(2, halfspaces),
+                        Quasilattice(2, (KVector([fe(1), fe(0)]), KVector([fe(0), fe(1)]))))
+
+
+def _golden_quadrilateral():
+    """x, y >= 0, x + y <= 2 and x + phi*y <= 3 over the quasilattice spanned by
+    e1, e2, phi*e1 and phi*e2: phi*e1 lies outside the normals' Z-span."""
+    zero, one, f = fe(0, 0, 5), fe(1, 0, 5), phi()
+    lattice = Quasilattice(2, (KVector([one, zero]), KVector([zero, one]),
+                               KVector([f, zero]), KVector([zero, f])))
+    halfspaces = [HalfSpace(kv5(1, 0), fe(0, 0, 5)), HalfSpace(kv5(0, 1), fe(0, 0, 5)),
+                  HalfSpace(kv5(-1, -1), fe(-2, 0, 5)), HalfSpace(kv5(-1, -f), fe(-3, 0, 5))]
+    return Triple.build(PolytopeH(2, halfspaces), lattice)
 
 
 def test_presentations_against_the_per_generator_route():
-    # the route build_presentation took before: the canonical kernel of pi, a
-    # generator left out when the integer system of all the normals has a
-    # solution, KMatrix.solve's particular solution for each other one, reduced
-    # modulo the kernel (at its pivots) and 1, and a Smith form for the group
+    # the route build_presentation took before: the canonical kernel of pi by the
+    # textbook route (rref of pi, then rref of its raw kernel rows), a generator
+    # left out when the integer system of all the normals has a solution,
+    # KMatrix.solve's particular solution for each other one, reduced modulo the
+    # kernel (at its pivots) and 1, and a Smith form for the group
     seen_in_span = seen_outside = 0
-    for t in _simple_triples_and_halves(9191):
+    golden = _golden_quadrilateral()
+    extra = [_tangent_polygon(6, range(-30, 30)), golden]
+    for t in _simple_triples_and_halves(9191) + extra:
         d, n = t.polytope.d, t.polytope.dim
         pi = KMatrix(zip(*t.normals))
-        kernel = pi.kernel_basis()
+        ref_rows, ref_pivots = fieldmatrix.rref(pi.rows, d)
+        kernel = [KVector(v, pi.d) for v in fieldmatrix.kernel(ref_rows, ref_pivots, d, pi.d)]
         pivots = [next(i for i, x in enumerate(row) if not x.is_zero()) for row in kernel]
         assert all(row[p] == 1 for row, p in zip(kernel, pivots))
         expected = []
@@ -239,7 +269,9 @@ def test_presentations_against_the_per_generator_route():
             -sum((c * lam for c, lam in zip(row, t.levels)), fe(0, 0, row.d)) for row in kernel]
         assert list(pres.disc_gens) == expected
         assert pres.component_invariants == group
+        assert t is not golden or pres.disc_gens
     assert seen_in_span > 50 and seen_outside > 50
+    assert extra[0].polytope.d == 60
 
 
 def test_presentations_and_charts_make_no_fraction(monkeypatch):

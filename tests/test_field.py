@@ -5,6 +5,7 @@ from math import gcd, isqrt
 import pytest
 
 import fieldmatrix
+from quasitoric import field
 from quasitoric.field import (FieldElem, FieldMixError, KMatrix, KVector, fe,
                               parse_field_elem, phi)
 
@@ -224,6 +225,27 @@ def test_kernel_echelon_idempotent():
         km = KMatrix.from_vectors(kernel)
         assert km.rref() == km
         assert km.kernel_basis() == KMatrix.from_vectors(kernel).kernel_basis()
+
+
+def test_kernel_basis_eliminates_once(monkeypatch):
+    # the kernel's reduced echelon rows are read off one elimination, not reduced by a second
+    rng, calls = random.Random(31), []
+    eliminate = field._eliminate
+    monkeypatch.setattr(field, "_eliminate", lambda rows, d: calls.append(d) or eliminate(rows, d))
+    for d in (0, 2, 5):
+        for _ in range(20):
+            a = KMatrix(_degenerate_matrix(rng, d))
+            calls.clear()
+            a.kernel_basis()
+            assert calls == [d]
+
+
+def test_kernel_and_solutions_refuses_a_column_outside_the_span():
+    one, zero = fe(1, 0, 5), fe(0, 0, 5)
+    kernel, (x,) = field._kernel_and_solutions([(one, phi(), phi()), (zero, zero, zero)], 2, 5)
+    assert kernel == [KVector([one, -phi().inverse()])] and list(x) == [zero, one]
+    with pytest.raises(ValueError, match="outside the column span"):
+        field._kernel_and_solutions([(one, phi(), phi()), (zero, zero, one)], 2, 5)
 
 
 def _product(a, b, d):
