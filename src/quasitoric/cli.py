@@ -169,13 +169,12 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise ValueError(f"--star takes 1 to {MAX_STAR_ARROWS} arrows, got {args.star}")
         _write(tilings.render_star(args.star, digits), args.output)
         return 0
-    leaves: list = []   # the leaf list, filled as the document is read and checked
+    # checked before the output is opened; the text, held by the callee alone, is freed then
     if args.input == "-" or args.input is None:
-        doc = json.load(sys.stdin, object_hook=jsonio.patch_hook(leaves))
+        mode, depth, source = jsonio.read_patch_text(sys.stdin.read())
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_hook=jsonio.patch_hook(leaves))
-    mode, depth, source = jsonio.read_patch(doc, leaves)   # before the output is opened
+            mode, depth, source = jsonio.read_patch_text(fh.read())
     source = tilings.pair_tiles(source, mode).tiles if args.paired else source
     _send(args.output, lambda write: tilings.write_svg(source, write, digits, depth))
     return 0

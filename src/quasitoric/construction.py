@@ -158,8 +158,9 @@ def build_presentation(triple: Triple) -> Presentation:
     # pi = the facet normals as columns; each generator's solution is zero at the
     # kernel's pivots, so reducing it mod Z^d + the kernel's span is reducing it mod 1
     kernel, thetas = _kernel_and_solutions(zip(*triple.normals, *triple.lattice.generators), d, fd)
-    levels = KVector(triple.levels, fd)
-    rows = tuple(LevelRow(row, -row.dot(levels)) for row in kernel)
+    levels = triple.levels   # a kernel row has at most n + 1 nonzero entries: sum those
+    rows = tuple(LevelRow(row, -sum((x * y for x, y in zip(row.entries, levels)
+                                     if not x.is_zero()), levels[0].zero())) for row in kernel)
     component, spanned = quotient_and_spanned(triple.lattice, triple.certificates)
     disc = [KVector([x.mod1() for x in theta], fd)   # the nonzero classes
             for theta, inside in zip(thetas, spanned) if not inside]

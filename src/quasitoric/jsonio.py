@@ -5,8 +5,10 @@ document-wide {"field": {"D": ...}} context, which keeps files exact and
 language neutral.  Encoding is canonical (sorted keys, fixed separators), so
 equal objects produce identical bytes.  Patch documents are compact (separators
 `","` and `":"`, no whitespace); every other document is `dumps_canonical`'s
-indented text.  Integer fields test `type(x) is int`: JSON `true`/`false` load
-as `bool`, an `int` subclass, and are refused.
+indented text.  A patch text is read by writing it again when `write_patch`
+wrote it (`_as_written`), else loaded through `patch_hook` (`read_patch_text`).
+Integer fields test `type(x) is int`: JSON `true`/`false` load as `bool`, an
+`int` subclass, and are refused.
 """
 from __future__ import annotations
 
@@ -346,10 +348,10 @@ def write_patch(p: tilings.Patch, write: Callable[[str], Any], steps: int = 0) -
 
 
 def _emit(nodes: Sequence, levels: int, parts: list[str], write: Callable[[str], Any],
-          mode: tilings.Mode) -> None:
-    """Put `nodes` (read by `tilings.unfold`, leaves growing `levels` levels) into
-    `parts` as the items of a list, without its brackets.  A module-level recursion:
-    no closure cycle keeps `parts` alive."""
+          mode: tilings.Mode, sink: Optional[Callable[..., Any]] = None) -> None:
+    """Put `nodes` (read by `tilings.unfold`, leaves growing `levels` levels) into `parts`
+    as a list's items, without its brackets, and each leaf's kind and points into `sink` if
+    given.  A module-level recursion: no closure cycle keeps `parts` alive."""
     if len(parts) >= _FLUSH_PARTS:
         write("".join(parts))
         parts.clear()
@@ -358,10 +360,12 @@ def _emit(nodes: Sequence, levels: int, parts: list[str], write: Callable[[str],
         kind, (a, b1, b2), kids, lv = unfold(node, levels, mode)
         if kids:
             put(sep + _OPEN)
-            _emit(kids, lv, parts, write, mode)
+            _emit(kids, lv, parts, write, mode, sink)
             put(_TAIL % (kind, *a, *b1, *b2))
         else:
             put(_LEAF % (sep, kind, *a, *b1, *b2))
+            if sink:
+                sink(kind, a, b1, b2)
         sep = ","
 
 
@@ -489,6 +493,59 @@ def read_patch(doc: Any, leaves: Optional[list] = None
     return mode, depth, tilings.Patch(mode, tuple(
         t if type(r) is not tuple else tilings._grow((r[0], r[1:4], r[4]), depth, mode, points)
         for r, t in zip(roots, patch.roots)), depth)
+
+
+_PATCH = re.compile(r'\{"depth":(0|[1-9][0-9]?),"mode":"(p2|p3)","roots":\[(.*)'
+                    + re.escape(_PATCH_END), re.S)   # `_PATCH_HEAD`, the roots, `_PATCH_END`
+_NODE_END = re.compile(re.escape(_TAIL).replace("%s", "(acute|obtuse)").replace("%d", "(-?[0-9]+)"))
+
+
+def read_patch_text(text: str) -> tuple[tilings.Mode, int, "list | tilings.Patch"]:
+    """`read_patch` of the patch document `text` loaded through `patch_hook` with a leaf list.
+    Text that `write_patch` writes is read by `_as_written`, with no JSON decoding."""
+    leaves: list = []
+    try:
+        return _as_written(text, leaves)
+    except ValueError:   # loaded after this block, once the frames it holds are gone
+        leaves.clear()
+    return read_patch(json.loads(text, object_hook=patch_hook(leaves)), leaves)
+
+
+def _as_written(text: str, leaves: list) -> tuple[tilings.Mode, int, list]:
+    """Mode, depth and `leaves` (points shared as `patch_hook` shares them) of `write_patch`'s
+    text of roots that `_fits`, at most `tilings.MAX_TILE_LEAVES` leaves; else ValueError.  A
+    root's text ends before a comma and depth + 1 node openings (fewer open a node below it);
+    its kind and points are read off its end, and it is written again, compared in place."""
+    doc = text.endswith(_PATCH_END) and _PATCH.fullmatch(text)   # else `.*` backs up a lot
+    if not doc:
+        raise ValueError("not a patch text of write_patch")
+    depth, mode, roots, left = int(doc[1]), doc[2], [], tilings.MAX_TILE_LEAVES
+    (begin, stop), sep = doc.span(3), "," + _OPEN * (depth + 1)
+    while begin <= stop:
+        end = text.find(sep, begin, stop)
+        end = stop if end < 0 else end
+        last = _NODE_END.fullmatch(text, max(text.rfind('],"kind":', begin, end), begin), end)
+        if not last:
+            raise ValueError("no root's text")
+        kind, points = last[1], tuple(tuple(map(int, last.groups()[i:i + 4])) for i in (1, 5, 9))
+        left -= tilings.leaf_count(kind, 1, depth)
+        if left < 0 or not _fits((kind, *points, None, depth), 0, mode, depth):
+            raise ValueError("over the leaf budget or of no Penrose shape")
+        roots.append((kind, points, tilings.table_key(kind, *points)))
+        begin = end + 1
+    at, parts, keep = [doc.start(3)], [], {}.setdefault
+
+    def check(piece: str) -> None:   # the next piece of the text, else ValueError
+        if not text.startswith(piece, at[0], stop):
+            raise ValueError("not the text written again")
+        at[0] += len(piece)
+
+    _emit(roots, depth, parts, check, mode,
+          lambda k, a, b, c: tilings.put_leaf(leaves, k, keep(a, a), keep(b, b), keep(c, c)))
+    check("".join(parts))
+    if at[0] != stop:
+        raise ValueError("text after the roots")
+    return mode, depth, leaves
 
 
 def parse_patch(doc: Any) -> tilings.Patch:

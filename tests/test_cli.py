@@ -6,10 +6,11 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from quasitoric import construction, field, jsonio, polytope, quasilattice, tilings
+from quasitoric import cli, construction, field, jsonio, polytope, quasilattice, tilings
 from quasitoric.cli import MAX_STAR_ARROWS, build_parser, main
 from quasitoric.construction import Triple, build_presentation
 from quasitoric.examples import EXAMPLES, get_example
@@ -780,8 +781,110 @@ def test_render_keeps_the_leaf_list_not_the_tree(tmp_path, capsys, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the text while it decodes, the leaf list and the point table: about twice the text
+    # the text while it is written again in place, the leaf list and the point table
     assert peak < 3.5 * size, (peak, size)
+
+
+def _written(mode, steps, kind="acute"):   # `tile`'s text, of a doubled seed
+    parts = []
+    jsonio.write_patch(tilings.mirror_double(seed(mode, kind)), parts.append, steps)
+    return "".join(parts)
+
+
+def _render_text(capsys, monkeypatch, text, *flags):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return run(capsys, "render", "--input", "-", *flags)
+
+
+def _spy(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def _loaded(text, leaves):   # for `jsonio._as_written`: every text goes to the hook route
+    raise ValueError("loaded")
+
+
+@pytest.mark.parametrize("mode, kind, steps", [("p2", "acute", 2), ("p3", "obtuse", 3)])
+def test_one_byte_edits_render_as_through_the_hook(mode, kind, steps, capsys, monkeypatch):
+    # `tile`'s text is read by writing it again; each edit of it must give the exit code,
+    # stderr and SVG that the hook route (`patch_hook`, `read_patch`, `write_svg`) gives
+    text = _written(mode, steps, kind)
+    edits = [text[:i] + str((int(c) + 1) % 10) + text[i + 1:]
+             for i, c in enumerate(text) if c.isdigit()]
+    edits += [text[:i] + text[i + 1:] for i in range(len(text))]
+    hooked = []
+    _spy(monkeypatch, jsonio, "patch_hook", hooked)
+    read = [_render_text(capsys, monkeypatch, text)]
+    assert hooked == []
+    read += [_render_text(capsys, monkeypatch, t) for t in edits]
+    assert len(hooked) == len(edits)   # each edit is loaded
+    monkeypatch.setattr(jsonio, "_as_written", _loaded)
+    assert read == [_render_text(capsys, monkeypatch, t) for t in [text] + edits]
+    codes = Counter(code for code, _, _ in read)
+    assert codes[0] > 1 and codes[1] > 1, codes   # edits drawn (145 for p2) and refused
+
+
+def _relabelled_leaf():   # a root of no p3 shape, with no children whose shapes fail
+    return _written("p2", 0).replace('"mode":"p2"', '"mode":"p3"')
+
+
+def _a_root_then_its_tile():   # a leaf root after the last, of its tile: the same last piece
+    text = _written("p2", 2)
+    stop = len(text) - len(jsonio._PATCH_END)
+    leaf = jsonio._OPEN + text[text.rindex('],"kind":'):stop]
+    return text[:stop] + "," + leaf + jsonio._PATCH_END
+
+
+@pytest.mark.parametrize("make, message", [
+    (_relabelled_leaf, "$.roots[0].vertices: bad shape for p3 acute half-tile"),
+    (_a_root_then_its_tile, "$.roots[2]: leaf at tree depth 0, but every leaf must sit at "
+                            "depth 2"),
+])
+def test_texts_next_to_tiles_are_refused_by_the_hook_route(make, message, capsys,
+                                                          monkeypatch):
+    hooked = []
+    _spy(monkeypatch, jsonio, "patch_hook", hooked)
+    assert _render_text(capsys, monkeypatch, make()) == (1, "", f"parse error: {message}\n")
+    assert hooked == ["patch_hook"]
+
+
+@pytest.mark.parametrize("how", ["file", "stdin", "paired"])
+def test_render_reads_tiles_text_without_decoding_it(how, tmp_path, capsys, monkeypatch):
+    text = _written("p2", 3)
+    path = tmp_path / "patch.json"
+    path.write_text(text)
+    argv = ["render", "--input", "-" if how == "stdin" else str(path)]
+    argv += ["--paired"] if how == "paired" else []
+    with monkeypatch.context() as hooked:
+        hooked.setattr(jsonio, "_as_written", _loaded)
+        hooked.setattr(sys, "stdin", io.StringIO(text))
+        expected = run(capsys, *argv)
+    calls = []
+    for owner, name in [(cli.json, "load"), (cli.json, "loads"), (jsonio, "patch_hook")]:
+        _spy(monkeypatch, owner, name, calls)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, *argv) == expected and expected[0] == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("depth", ["99999", "40"])
+def test_render_of_a_deeper_depth_takes_the_hook_route_and_grows_no_leaf(depth, capsys,
+                                                                         monkeypatch):
+    # over the leaf budget `tile` keeps (40) or past any depth it writes (99999)
+    text = _written("p2", 3).replace('{"depth":3,', '{"depth":%s,' % depth, 1)
+    message = (f"parse error: $.roots[0].children[0].children[0].children[0]: leaf at tree "
+               f"depth 3, but every leaf must sit at depth {depth}\n")
+    calls = []
+    for owner, name in [(jsonio, "_emit"), (jsonio, "patch_hook")]:
+        _spy(monkeypatch, owner, name, calls)
+    assert _render_text(capsys, monkeypatch, text) == (1, "", message)
+    assert calls == ["patch_hook"]
 
 
 def _apex_moved(doc):

@@ -148,22 +148,29 @@ def _reference(doc):
     return 0, ""
 
 
+# json's default text, and `tile`'s compact sorted text, which `render` reads without decoding
+_WRITERS = {"default": json.dumps,
+            "tile": lambda doc: json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"}
+
+
 @pytest.mark.parametrize("flags", [[], ["--paired"]])
 def test_render_judges_mutated_trees_as_a_reference_decoder(flags, tmp_path, capsys):
     path, svg = tmp_path / "patch.json", tmp_path / "out.svg"
-    rng, refused = random.Random(29), 0
+    rng, refused = random.Random(29), Counter()
     for mode, kind, steps in (("p2", "acute", 3), ("p3", "obtuse", 3), ("p2", "obtuse", 4)):
         assert _run(capsys, "tile", "--type", mode, "--seed", kind, "--steps", str(steps),
                     "--doubled", "--output", str(path)) == 0
         base = json.loads(path.read_text())
+        assert _WRITERS["tile"](base) == path.read_text()
         for doc in [base] + [mutate_tree(base, rng) for _ in range(30)]:
-            path.write_text(json.dumps(doc))
-            code = main(["render", "--input", str(path), "--output", str(svg), *flags])
-            assert (code, capsys.readouterr().err) == _reference(doc)
-            assert svg.exists() == (code == 0)
-            svg.unlink(missing_ok=True)
-            refused += code
-    assert refused == 90
+            for writer, write in _WRITERS.items():
+                path.write_text(write(doc))
+                code = main(["render", "--input", str(path), "--output", str(svg), *flags])
+                assert (code, capsys.readouterr().err) == _reference(doc)
+                assert svg.exists() == (code == 0)
+                svg.unlink(missing_ok=True)
+                refused[writer] += code
+    assert refused == {"default": 90, "tile": 90}
 
 
 # One legal command line per subcommand (and per way of giving `cut` and `render`
