@@ -11,7 +11,7 @@ from .construction import (Chart, Classification, Presentation, Triple,
                            cut_and_present, emit_report)
 from .tilings import (Cyclo, HalfTile, Patch, deflate, inflate, pair_tiles,
                       render_svg, seed, tile_triple)
-from .examples import EXAMPLES, get_example, load_quasilattice
+from .examples import EXAMPLES, get_example
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "PolytopeH", "Presentation", "Quasilattice", "SmithDecomposition",
     "Triple", "VertexData", "build_charts", "build_presentation", "classify",
     "cut", "cut_and_present", "deflate", "emit_report", "fe", "get_example",
-    "hnf", "inflate", "int_solve", "is_discrete", "load_quasilattice",
-    "member", "pair_tiles", "phi", "quotient_by", "relation_lattice",
-    "render_svg", "seed", "snf", "tile_triple",
+    "hnf", "inflate", "int_solve", "is_discrete", "member", "pair_tiles",
+    "phi", "quotient_by", "relation_lattice", "render_svg", "seed", "snf",
+    "tile_triple",
 ]

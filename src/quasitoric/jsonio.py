@@ -188,11 +188,6 @@ def decode_quasilattice(obj: Any, d: int, path: str, budget: Optional[list] = No
         raise ParseError(path, str(exc)) from None
 
 
-def parse_quasilattice_document(doc: Any) -> Quasilattice:
-    d = _field_context(doc, "$")
-    return decode_quasilattice(doc.get("quasilattice"), d, "$.quasilattice")
-
-
 # -- triples --------------------------------------------------------------------
 
 

@@ -11,15 +11,14 @@ from quasitoric import jsonio
 from quasitoric.construction import (NonsimpleTripleError, Triple,
                                      build_charts, build_presentation,
                                      classify, cut_and_present)
-from quasitoric.examples import (EXAMPLES, get_example, kite_axis_cut,
-                                 load_quasilattice, orbisphere, quasisphere,
-                                 sphere)
+from quasitoric.examples import EXAMPLES, get_example, kite_axis_cut
 from quasitoric.field import FieldElem, KMatrix, KVector, fe, phi
 from quasitoric.intlattice import hnf_basis, int_solve, mat_vec, snf
 from quasitoric.polytope import HalfSpace, PolytopeH
 from quasitoric.quasilattice import combination, member
 from quasitoric.tilings import deflate, inflate, seed, verify_patch
 
+from example_builders import load_quasilattice, orbisphere, quasisphere, sphere
 from fieldmatrix import matvec, torus_classes_equal
 from intmatrix import det, mat_mul
 

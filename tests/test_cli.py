@@ -126,10 +126,15 @@ def test_cut_zero_denominator_is_an_error(example, normal, level, bad, capsys):
 
 
 def test_cut_degenerate_exit_2(capsys):
-    code, _out, err = run(capsys, "cut", "--example", "sphere",
-                          "--normal", "1", "--level", "7")
-    assert code == 2
-    assert json.loads(err)["refusal"] == "degenerate-cut"
+    # the last three are supporting hyperplanes with the whole polytope on their
+    # negative side: at the sphere's end, on a face of the cube, and at the
+    # kite's vertex (1, 1) alone
+    for example, normal, level in [("sphere", "1", "7"), ("sphere", "1", "1"),
+                                   ("cube", "1,0,0", "1"), ("kite", "1,1", "2")]:
+        code, _out, err = run(capsys, "cut", "--example", example,
+                              f"--normal={normal}", "--level", level)
+        assert code == 2, (example, normal, level, err)
+        assert json.loads(err)["refusal"] == "degenerate-cut"
 
 
 def test_tile_render_pipeline(tmp_path, capsys):

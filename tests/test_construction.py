@@ -10,15 +10,15 @@ from quasitoric.construction import (NonsimpleTripleError,
                                      Triple, build_charts, build_presentation,
                                      classify, cut_and_present, emit_report,
                                      format_field_elem)
-from quasitoric.examples import (cube, dodecahedron, get_example, kite,
-                                 kite_axis_cut, octahedron, orbisphere,
-                                 quasisphere, sphere, tetrahedron)
+from quasitoric.examples import get_example, kite_axis_cut
 from quasitoric.field import FieldElem, KMatrix, KVector, fe, phi
 from quasitoric.intlattice import AbelianGroupInvariants, hnf_basis, int_solve, snf
 from quasitoric.polytope import HalfSpace, PolytopeH
 from quasitoric.quasilattice import Quasilattice, relation_lattice, split_target, z_rank
 
 import fieldmatrix
+from example_builders import (cube, dodecahedron, kite, octahedron, orbisphere,
+                              quasisphere, sphere, tetrahedron)
 from fieldmatrix import inverse, matvec, torus_classes_equal
 from halves import SIMPLE_EXAMPLES, seeded_halves
 

@@ -1,12 +1,16 @@
 """Preflight checks on every shipped example and data file."""
+from importlib import resources
+
 import pytest
 
+from quasitoric import jsonio
 from quasitoric.construction import classify
-from quasitoric.examples import (EXAMPLES, get_example, kite_axis_cut,
-                                 load_quasilattice)
+from quasitoric.examples import EXAMPLES, get_example, kite_axis_cut
 from quasitoric.field import KVector, phi
 from quasitoric.quasilattice import (combination, is_discrete, member,
                                      relation_lattice, z_rank)
+
+from example_builders import BUILDERS, load_quasilattice
 
 SIMPLE = ("sphere", "orbisphere", "quasisphere", "kite", "thick_rhombus",
           "thin_rhombus", "prolate_rhombohedron", "oblate_rhombohedron",
@@ -19,6 +23,32 @@ def test_every_example_builds_and_certifies():
         t = get_example(name)
         for j, cert in enumerate(t.certificates):
             assert combination(t.lattice, cert) == t.polytope.halfspaces[j].normal
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_shipped_document_is_its_builders_triple(name):
+    built = BUILDERS[name]()
+    shipped = get_example(name)
+    assert ((shipped.polytope.dim, list(shipped.polytope.halfspaces), shipped.lattice,
+             shipped.certificates)
+            == (built.polytope.dim, list(built.polytope.halfspaces), built.lattice,
+                built.certificates))
+    assert jsonio.encode_triple(shipped) == jsonio.encode_triple(built)
+    text = resources.files("quasitoric.data").joinpath(f"{name}.json").read_text()
+    assert text == jsonio.dumps_canonical(jsonio.encode_triple(built))
+
+
+def test_data_holds_exactly_the_examples():
+    names = sorted(p.name for p in resources.files("quasitoric.data").iterdir()
+                   if p.name.endswith(".json"))
+    assert names == sorted(f"{n}.json" for n in EXAMPLES)
+    assert sorted(EXAMPLES) == sorted(BUILDERS) and len(EXAMPLES) == 13
+
+
+def test_unknown_example_message():
+    with pytest.raises(ValueError) as info:
+        get_example("dart")
+    assert str(info.value) == f"unknown example 'dart'; choose from {sorted(EXAMPLES)}"
 
 
 @pytest.mark.parametrize("name", SIMPLE)

@@ -1,21 +1,22 @@
 import itertools
 import random
-from math import lcm
+from math import lcm, prod
 
-from quasitoric.examples import load_quasilattice
 from quasitoric.intlattice import (AbelianGroupInvariants, hnf, hnf_basis,
                                    int_solve, integer_kernel, mat_vec, snf)
 from quasitoric.quasilattice import quotient_by, relation_lattice
 
+from example_builders import load_quasilattice
 from intmatrix import det, mat_mul
 
 
 def is_hnf(h):
     pivots = []
     r = 0
-    for row in h:
+    for k, row in enumerate(h):
         nz = [j for j, x in enumerate(row) if x]
         if not nz:
+            assert not any(any(rest) for rest in h[k:])   # zero rows come last
             continue
         j = nz[0]
         assert row[j] > 0
@@ -67,6 +68,29 @@ def test_hnf_example():
 def test_hnf_single_row():
     h, u = hnf([[5, 0]])
     assert h == [[5, 0]] and u == [[1]]
+
+
+def test_hnf_shape():
+    cases = [[[3, 1], [5, 2], [7, 4]]]
+    rng = random.Random(17)
+    for m, n in [(3, 2)] * 20 + [(4, 3)] * 20:
+        cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    for a in cases:
+        h, u = hnf(a)
+        assert mat_mul(u, a) == h and abs(det(u)) == 1
+        assert is_hnf(h), a
+    assert hnf(cases[0])[0] == [[1, 0], [0, 1], [0, 0]]
+
+
+def test_snf_divisibility_chain():
+    assert snf([[6, 0, 0], [0, 2, 0], [0, 0, 3]]).diagonal == [1, 6, 6]
+    rng = random.Random(23)
+    for n in [3] * 30 + [4] * 30:
+        entries = [rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(n)]
+        a = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        diag = snf(a).diagonal
+        assert all(y % x == 0 for x, y in zip(diag, diag[1:])), (entries, diag)
+        assert prod(diag) == abs(det(a))
 
 
 def test_snf_examples():

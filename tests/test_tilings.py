@@ -606,7 +606,7 @@ def test_pairing_doubled_deflated_patch():
 
 def test_tile_triple_registry():
     t = tile_triple("kite")
-    from quasitoric.examples import kite
+    from example_builders import kite
     assert t.polytope.halfspaces == kite().polytope.halfspaces
     for kind in ("thick_rhombus", "thin_rhombus",
                  "prolate_rhombohedron", "oblate_rhombohedron"):
