@@ -17,11 +17,12 @@ certified in Q), this module computes:
     chart group acting by angles mod Z^n.  At a simple vertex the n active
     normals form a basis, so both are coordinates in that basis: of the other
     facet normals (negated) and of the generators (mod 1), read off one
-    fraction-free elimination over Z[sqrt D] per vertex.  (The chart map's
-    filled-slot records are a JSON-only view of the domain rows, written by
-    :func:`quasitoric.jsonio.encode_charts`.)
+    fraction-free elimination over Z[sqrt D] per vertex.  So are the bounds: with
+    X_j = sum_i c_i A_i, facet j's slack at the vertex is sum_i c_i lambda_(a_i)
+    - lambda_j.  (The chart map's filled-slot records are a JSON-only view of
+    the domain rows, written by :func:`quasitoric.jsonio.encode_charts`.)
   * a classification (manifold / orbifold / quasifold, or a structured refusal
-    for nonsimple input).
+    for nonsimple input) from each vertex's chart group alone: no chart is built.
 
 Sign conventions: normals are inward, half-spaces read <mu, X_j> >= lambda_j,
 and level constants are c_k = -sum_j (beta_k)_j lambda_j.  Scaling every
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 
 from .field import FieldElem, KVector, _eliminate, _integer_rows, _kernel_and_solutions, _over
 from .intlattice import AbelianGroupInvariants, int_solve  # int_solve: a perfbench trace site
-from .polytope import PolytopeH, VertexData, cut_with_maps
+from .polytope import PolytopeH, VertexData, _dot, cut_with_maps
 from .quasilattice import (Quasilattice, certify, combination, is_discrete,
                            quotient_and_spanned, quotient_by)
 
@@ -132,11 +133,7 @@ class Chart:
     group_invariants: AbelianGroupInvariants
 
     def kind(self) -> str:
-        if self.group_invariants.is_trivial():
-            return "manifold"
-        if self.group_invariants.is_finite():
-            return "orbifold"
-        return "quasifold"
+        return _kind(self.group_invariants)
 
 
 @dataclass(frozen=True)
@@ -176,6 +173,8 @@ def build_charts(triple: Triple) -> list[Chart]:
     triple.ensure_valid()
     poly, d = triple.polytope, triple.polytope.field_d
     n, normals, generators = poly.dim, triple.normals, triple.lattice.generators
+    # the levels as pairs times L, the lcm of their denominators; the appended 1 gives L
+    *levels, lcm_l = _integer_rows([[*triple.levels, triple.levels[0].zero() + 1]])[0]
     charts = []
     for vertex in poly.vertices():
         active = vertex.active_facets
@@ -187,9 +186,11 @@ def build_charts(triple: Triple) -> list[Chart]:
         m, _pivots, delta = _eliminate(_integer_rows(zip(*columns)), d)
         minus = (-delta[0], -delta[1])   # domain rows are the negated coordinates
 
-        domain = []
+        scale, domain = _dot([delta], [lcm_l], d), []   # delta * L
         for c, j in enumerate(inactive, n):
-            bound = poly.halfspaces[j].slack(vertex.point)
+            # <X_j, v> - lambda_j, X_j = sum_i (m[i][c] / delta) A_i and <A_i, v> = lambda_(a_i)
+            bound = _over(_dot([*(m[i][c] for i in range(n)), minus],
+                               [*(levels[a] for a in active), levels[j]], d), scale, d)
             if bound.sign() <= 0:
                 raise AssertionError("internal invariant breach: non-positive bound")
             domain.append(DomainIneq(j, KVector([_over(m[i][c], minus, d) for i in range(n)], d),
@@ -203,8 +204,7 @@ def build_charts(triple: Triple) -> list[Chart]:
             if not angles.is_zero():
                 gens.append(angles)
 
-        group = quotient_by(triple.lattice,
-                            [triple.certificates[j] for j in active])
+        group = quotient_by(triple.lattice, [triple.certificates[j] for j in active])
         charts.append(Chart(vertex, active, tuple(domain), tuple(gens), group))
     return charts
 
@@ -213,18 +213,26 @@ def build_charts(triple: Triple) -> list[Chart]:
 # Classification
 # ---------------------------------------------------------------------------
 
-_WORST = {"manifold": 0, "orbifold": 1, "quasifold": 2}
+_KINDS = ("manifold", "orbifold", "quasifold")   # best to worst
+
+
+def _kind(group: AbelianGroupInvariants) -> str:
+    """A chart group's kind: trivial, finite or neither."""
+    return _KINDS[0 if group.is_trivial() else 1 if group.is_finite() else 2]
 
 
 def classify(triple: Triple) -> Classification:
     report = triple.polytope.validate()
-    rational = is_discrete(Quasilattice(triple.polytope.dim,
-                                        tuple(triple.normals)))
+    if not report.valid:
+        triple.ensure_valid()   # raises DegenerateTripleError, as build_charts does
+    rational = is_discrete(Quasilattice(triple.polytope.dim, tuple(triple.normals)))
     if not report.simple:
         kind = "stratified-by-manifolds" if rational else "stratified-by-quasifolds"
         return Classification(False, rational, kind)
-    kinds = tuple(c.kind() for c in build_charts(triple))
-    worst = max(kinds, key=_WORST.__getitem__, default="manifold")
+    certs = triple.certificates   # each vertex's chart group, with no chart built
+    kinds = tuple(_kind(quotient_by(triple.lattice, [certs[j] for j in v.active_facets]))
+                  for v in triple.polytope.vertices())
+    worst = max(kinds, key=_KINDS.index, default="manifold")
     return Classification(True, rational, worst, kinds)
 
 

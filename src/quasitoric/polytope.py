@@ -76,9 +76,6 @@ class HalfSpace:
         if self.level.d != self.normal.d:
             raise FieldMixError(f"level in D={self.level.d}, normal in D={self.normal.d}")
 
-    def slack(self, point: KVector) -> FieldElem:
-        return self.normal.dot(point) - self.level
-
 
 @dataclass(frozen=True)
 class VertexData:

@@ -214,12 +214,6 @@ class Patch:
                 out.append(node.tile)
         return out
 
-    def count_by_kind(self) -> dict[Kind, int]:
-        counts = {"acute": 0, "obtuse": 0}
-        for t in self.leaves():
-            counts[t.kind] += 1
-        return counts
-
 
 def seed(mode: Mode, kind: Kind = "acute") -> Patch:
     """A single half-tile with apex at the origin and unit-scale edges."""

@@ -1,4 +1,4 @@
-"""Directed-edge cancellation over Z[zeta_5], used only by the tests.
+"""Directed-edge cancellation over Z[zeta_5], and leaf counts, used only by the tests.
 
 The independent oracle for the substitution table: children tile their
 lifted parent exactly when their interior directed edges cancel in opposite
@@ -66,3 +66,11 @@ def children_tile_parent(parent, children):
 def boundary_edges(patch):
     """Uncancelled directed leaf edges: the boundary of the patch union."""
     return [e for e, k in uncancelled_edges(patch.leaves()).items() for _ in range(k)]
+
+
+def count_by_kind(patch):
+    """The patch's leaves counted by kind, as {"acute": a, "obtuse": o}."""
+    counts = {"acute": 0, "obtuse": 0}
+    for t in patch.leaves():
+        counts[t.kind] += 1
+    return counts

@@ -73,6 +73,12 @@ def matvec(a, v):
                     for r in a.rows], a.d)
 
 
+def slack(h, point):
+    """<X, point> - lambda for the half-space h = {<mu, X> >= lambda}, as a
+    FieldElem dot product at the point: the oracle for the chart bounds."""
+    return h.normal.dot(point) - h.level
+
+
 def split_target(x, vectors, dim):
     """Integer system (mat, rhs) of sum_i c_i vectors[i] == x: per coordinate a
     row of rational parts, then one of sqrt(D) parts, each row times the lcm of

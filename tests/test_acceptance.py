@@ -18,6 +18,7 @@ from quasitoric.polytope import HalfSpace, PolytopeH
 from quasitoric.quasilattice import combination, member
 from quasitoric.tilings import deflate, inflate, seed, verify_patch
 
+from edges import count_by_kind
 from example_builders import load_quasilattice, orbisphere, quasisphere, sphere
 from fieldmatrix import matvec, torus_classes_equal
 from intmatrix import det, mat_mul
@@ -195,13 +196,13 @@ def test_criterion_7_tiling_suite():
         for _ in range(6):
             patch = deflate(patch, 1)
             a, o = 2 * a + o, a + o
-            c = patch.count_by_kind()
+            c = count_by_kind(patch)
             assert (c["acute"], c["obtuse"]) == (a, o)
         for t in patch.leaves():
             for v in t.vertices:
                 assert all(isinstance(x, int) for x in v.c)
     deep = deflate(seed("p2", "acute"), 10)
-    c = deep.count_by_kind()
+    c = count_by_kind(deep)
     assert abs(c["acute"] / c["obtuse"] - (1 + 5 ** 0.5) / 2) < 1e-3
     _pass(7, "inflate/deflate exact inverses to depth 6, edge cancellation "
              "at every node, Robinson counts exact, depth-10 ratio near phi")

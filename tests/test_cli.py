@@ -61,6 +61,34 @@ def test_classify_octahedron_exit_2(capsys):
     assert refusal["refusal"] == "nonsimple-polytope"
 
 
+def _unit(n, i):
+    return KVector([fe(int(k == i)) for k in range(n)])
+
+
+def _invalid_triple(name):
+    """An unbounded or empty polytope over Z^n: no vertex, so never simple."""
+    polytopes = {
+        "half-line": PolytopeH(1, [HalfSpace(_unit(1, 0), fe(0))]),
+        "empty": PolytopeH(1, [HalfSpace(_unit(1, 0), fe(1)), HalfSpace(-_unit(1, 0), fe(0))]),
+        "quadrant": PolytopeH(2, [HalfSpace(_unit(2, 0), fe(0)), HalfSpace(_unit(2, 1), fe(0))]),
+    }
+    p = polytopes[name]
+    return Triple.build(p, Quasilattice(p.dim, tuple(_unit(p.dim, i) for i in range(p.dim))))
+
+
+@pytest.mark.parametrize("name", ["half-line", "empty", "quadrant"])
+def test_invalid_triples_are_errors_for_classify_too(name, tmp_path, capsys):
+    # an invalid polytope is an error (exit 1), not a nonsimple refusal (exit 2)
+    path = tmp_path / "triple.json"
+    path.write_text(jsonio.dumps_canonical(jsonio.encode_triple(_invalid_triple(name))))
+    results = [run(capsys, command, "--input", str(path))
+               for command in ("classify", "charts", "report")]
+    assert results[0][:2] == (1, "") and results[0][2].startswith("error: invalid polytope: ")
+    assert results == [results[0]] * 3
+    with pytest.raises(construction.DegenerateTripleError):
+        construction.classify(_invalid_triple(name))
+
+
 def test_present_octahedron_refused(capsys):
     code, _out, err = run(capsys, "present", "--example", "octahedron")
     assert code == 2

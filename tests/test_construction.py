@@ -157,9 +157,10 @@ def _simple_triples_and_halves(seed):
 def test_chart_coordinates_match_the_reference_inverse():
     # a chart's domain rows are minus the coordinates of the inactive normals in
     # the basis of the active ones, and its angles are the generators' coordinates
-    # mod 1 with the all-integer ones left out: coordinates by the textbook inverse
+    # mod 1 with the all-integer ones left out: coordinates by the textbook inverse;
+    # its bounds are the slacks at the vertex, by a dot product there
     checked = 0
-    for t in _simple_triples_and_halves(5151):
+    for t in _simple_triples_and_halves(5151) + [_tangent_polygon(6, range(-30, 30))]:
         d = t.polytope.field_d
         for chart in build_charts(t):
             active = [t.normals[j] for j in chart.active]
@@ -168,12 +169,13 @@ def test_chart_coordinates_match_the_reference_inverse():
             assert [ineq.facet for ineq in chart.domain_ineqs] == inactive
             for ineq in chart.domain_ineqs:
                 assert ineq.coefficients == -matvec(coords, t.normals[ineq.facet])
-                assert ineq.bound == t.polytope.halfspaces[ineq.facet].slack(chart.vertex.point)
+                h = t.polytope.halfspaces[ineq.facet]
+                assert ineq.bound == fieldmatrix.slack(h, chart.vertex.point)
             angles = [KVector([x.mod1() for x in matvec(coords, g)], d)
                       for g in t.lattice.generators]
             assert list(chart.group_gens) == [a for a in angles if not a.is_zero()]
             checked += 1
-    assert checked > 300
+    assert checked > 360
 
 
 def test_build_charts_eliminates_once_per_vertex(monkeypatch):
@@ -387,6 +389,28 @@ def test_classification_table():
     assert (ic.simple, ic.rational, ic.kind) == (False, False, "stratified-by-quasifolds")
 
 
+def test_classify_kinds_are_the_chart_kinds():
+    for t in _simple_triples_and_halves(4141):
+        assert classify(t).chart_kinds == tuple(c.kind() for c in build_charts(t))
+
+
+def test_classify_builds_no_chart(monkeypatch):
+    # one quotient_by per vertex, and no chart and no chart elimination; the
+    # validation scan's eliminations are polytope's own
+    calls = []
+    quotient = construction.quotient_by
+    monkeypatch.setattr(construction, "build_charts", lambda t: calls.append("build_charts"))
+    monkeypatch.setattr(construction, "_eliminate", lambda *a: calls.append("_eliminate"))
+    monkeypatch.setattr(construction, "quotient_by",
+                        lambda *a: calls.append("quotient_by") or quotient(*a))
+    for name in SIMPLE_EXAMPLES:
+        t = get_example(name)
+        calls.clear()
+        kinds = classify(t).chart_kinds
+        assert calls == ["quotient_by"] * len(t.polytope.vertices())
+        assert len(kinds) == len(calls)
+
+
 def test_nonsimple_construction_refused():
     with pytest.raises(NonsimpleTripleError) as err:
         build_presentation(octahedron())
@@ -448,23 +472,26 @@ def test_chart_bounds_positive():
 
 
 def test_scale_equivariance():
+    # positive scalars; 3/7 + phi/5 puts mixed denominators and sqrt(5) parts into the levels
     t = kite()
-    c = phi() * phi()             # positive scalar
-    scaled_poly = PolytopeH(2, [HalfSpace(h.normal, h.level * c)
-                                for h in t.polytope.halfspaces])
-    ts = Triple(scaled_poly, t.lattice, t.certificates)
-    p0, p1 = build_presentation(t), build_presentation(ts)
-    assert p0.cont_gens == p1.cont_gens
-    assert p0.disc_gens == p1.disc_gens
-    for r0, r1 in zip(p0.level_rows, p1.level_rows):
-        assert r0.coefficients == r1.coefficients
-        assert r1.constant == r0.constant * c
-    ch0, ch1 = build_charts(t), build_charts(ts)
-    for a, b in zip(ch0, ch1):
-        assert a.group_gens == b.group_gens
-        for i0, i1 in zip(a.domain_ineqs, b.domain_ineqs):
-            assert i0.coefficients == i1.coefficients
-            assert i1.bound == i0.bound * c
+    p0, ch0 = build_presentation(t), build_charts(t)
+    for c in (phi() * phi(), fe(Fraction(3, 7), 0, 5) + phi() / 5):
+        scaled_poly = PolytopeH(2, [HalfSpace(h.normal, h.level * c)
+                                    for h in t.polytope.halfspaces])
+        ts = Triple(scaled_poly, t.lattice, t.certificates)
+        p1 = build_presentation(ts)
+        assert p0.cont_gens == p1.cont_gens
+        assert p0.disc_gens == p1.disc_gens
+        for r0, r1 in zip(p0.level_rows, p1.level_rows):
+            assert r0.coefficients == r1.coefficients
+            assert r1.constant == r0.constant * c
+        ch1 = build_charts(ts)
+        assert len(ch0) == len(ch1) > 0
+        for a, b in zip(ch0, ch1):
+            assert a.group_gens == b.group_gens
+            for i0, i1 in zip(a.domain_ineqs, b.domain_ineqs, strict=True):
+                assert i0.coefficients == i1.coefficients
+                assert i1.bound == i0.bound * c
 
 
 def test_slot_expressions_satisfy_level_rows():

@@ -94,7 +94,7 @@ def test_every_vertex_satisfies_all_inequalities():
     for poly in (unit_square(), unit_cube(), octahedron()):
         for v in poly.vertices():
             for h in poly.halfspaces:
-                assert h.slack(v.point).sign() >= 0
+                assert fieldmatrix.slack(h, v.point).sign() >= 0
 
 
 def test_mixed_fields_are_refused():
@@ -208,14 +208,14 @@ def test_cut_through_vertices_allowed():
 
 def reference_vertices(p):
     """Every n-subset solved by `KMatrix.solve`, kept when its point satisfies
-    every half-space; active facets from `HalfSpace.slack`."""
+    every half-space; active facets from `fieldmatrix.slack`."""
     found = {}
     for subset in itertools.combinations(range(p.d), p.dim):
         a = KMatrix.from_vectors([p.halfspaces[j].normal for j in subset])
         sol = a.solve(KVector([p.halfspaces[j].level for j in subset], d=p.field_d))
         if sol is None or sol[1]:
             continue
-        slacks = [h.slack(sol[0]).sign() for h in p.halfspaces]
+        slacks = [fieldmatrix.slack(h, sol[0]).sign() for h in p.halfspaces]
         if min(slacks) >= 0:
             found[sol[0]] = VertexData(sol[0], tuple(j for j, s in enumerate(slacks) if s == 0))
     return tuple(sorted(found.values(), key=lambda v: tuple(v.point)))

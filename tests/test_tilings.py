@@ -11,7 +11,7 @@ from quasitoric.tilings import (Cyclo, HalfTile, InflateError, MAX_TILE_LEAVES,
                                 render_star, render_svg, seed, tile_key, tile_triple,
                                 verify_patch, _lift)
 
-from edges import boundary_edges, children_tile_parent, on_segment
+from edges import boundary_edges, children_tile_parent, count_by_kind, on_segment
 
 
 # -- ring ---------------------------------------------------------------------
@@ -217,14 +217,14 @@ def test_deflate_zero_steps_identity():
 
 def test_single_step_child_counts():
     s = deflate(seed("p2", "acute"), 1)
-    c = s.count_by_kind()
+    c = count_by_kind(s)
     assert c == {"acute": 2, "obtuse": 1}
     s = deflate(seed("p2", "obtuse"), 1)
-    assert s.count_by_kind() == {"acute": 1, "obtuse": 1}
+    assert count_by_kind(s) == {"acute": 1, "obtuse": 1}
     s = deflate(seed("p3", "acute"), 1)
-    assert s.count_by_kind() == {"acute": 2, "obtuse": 1}
+    assert count_by_kind(s) == {"acute": 2, "obtuse": 1}
     s = deflate(seed("p3", "obtuse"), 1)
-    assert s.count_by_kind() == {"acute": 1, "obtuse": 1}
+    assert count_by_kind(s) == {"acute": 1, "obtuse": 1}
 
 
 def test_count_recurrence_to_depth_six():
@@ -234,7 +234,7 @@ def test_count_recurrence_to_depth_six():
         for _ in range(6):
             patch = deflate(patch, 1)
             a, o = 2 * a + o, a + o
-            c = patch.count_by_kind()
+            c = count_by_kind(patch)
             assert (c["acute"], c["obtuse"]) == (a, o)
 
 
@@ -492,7 +492,7 @@ def test_area_conservation_float_check():
 
 def test_count_ratio_at_depth_ten():
     patch = deflate(seed("p2", "acute"), 10)
-    c = patch.count_by_kind()
+    c = count_by_kind(patch)
     ratio = c["acute"] / c["obtuse"]
     assert abs(ratio - (1 + 5 ** 0.5) / 2) < 1e-3
 
